@@ -15,7 +15,7 @@ Batch evaluation is first-class because it is the hot path of the paper's
 methodology: Oracle construction executes "each snippet ... at each
 configuration supported by the SoC".  All three engines implement it with
 real vectorized sweeps: the SoC engine with a NumPy-vectorized
-configuration sweep (:meth:`repro.soc.simulator.SoCSimulator.evaluate_expected_batch`),
+(snippets x configurations) sweep (:meth:`repro.soc.simulator.SoCSimulator.evaluate_expected_grid`),
 the GPU engine with a broadcast ``(configurations x frames)`` render
 (:meth:`repro.gpu.simulator.GPUSimulator.evaluate_batch`), and the NoC
 engine with a prepare-once/replay-per-configuration packet sweep — each an

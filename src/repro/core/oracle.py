@@ -98,9 +98,8 @@ class OraclePolicy(DRMPolicy):
         return self.current
 
 
-#: Cache key types (content-derived, never identity-derived).
+#: Cache key type (content-derived, never identity-derived).
 SnippetKey = Tuple[str, int, float, Tuple[Tuple[str, float], ...]]
-SpaceKey = Tuple
 
 
 def snippet_cache_key(snippet: Snippet) -> SnippetKey:
@@ -111,11 +110,6 @@ def snippet_cache_key(snippet: Snippet) -> SnippetKey:
         snippet.n_instructions,
         tuple(sorted(snippet.characteristics.as_dict().items())),
     )
-
-
-def space_cache_key(space: ConfigurationSpace) -> SpaceKey:
-    """Content key for a configuration space (platform params + exact configs)."""
-    return space.cache_key()
 
 
 def objective_cache_key(objective: Objective) -> Tuple[str, object]:
@@ -202,7 +196,7 @@ def persistent_entry_digest(snippet: Snippet, space: ConfigurationSpace,
     """
     return content_digest(
         snippet_cache_key(snippet),
-        space_cache_key(space),
+        space.cache_key(),
         persistent_objective_key(objective),
         code_fingerprint(),
     )
@@ -242,6 +236,14 @@ class OracleCache:
     already solved.  Keys are derived from content, never object identity,
     so regenerated-but-identical snippets still hit.
 
+    Entries live in one bucket per (space, objective): the bucket key is the
+    space's memoised :meth:`~repro.soc.configuration.ConfigurationSpace
+    .content_key` plus :func:`objective_cache_key`, and inside a bucket
+    entries are keyed by :func:`snippet_cache_key`.  Two space objects with
+    equal content share a bucket; a restricted (throttled) space has its
+    own.  Finding the bucket hashes the small platform/space tuple, never
+    the enumerated configuration list.
+
     An optional :class:`~repro.core.oracle_store.OracleStore` layers a
     persistent, cross-process tier underneath: in-memory misses fall
     through to the store, and freshly computed entries are written through
@@ -251,7 +253,7 @@ class OracleCache:
     """
 
     def __init__(self, store: Optional[OracleStore] = None) -> None:
-        self._entries: Dict[Tuple, OracleEntry] = {}
+        self._buckets: Dict[Tuple, Dict[SnippetKey, OracleEntry]] = {}
         self.store_backend = (store if store is not None
                               else get_default_oracle_store())
         self.hits = 0
@@ -260,7 +262,7 @@ class OracleCache:
         self.store_misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     @property
     def hit_rate(self) -> float:
@@ -276,11 +278,20 @@ class OracleCache:
             "store_misses": self.store_misses,
         }
 
+    def _bucket(self, space: ConfigurationSpace,
+                objective: Objective) -> Dict[SnippetKey, OracleEntry]:
+        """The (space, objective) bucket, created empty on first use."""
+        key = (space.content_key(),) + objective_cache_key(objective)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = {}
+        return bucket
+
     def lookup(self, snippet: Snippet, space: ConfigurationSpace,
                objective: Objective) -> Optional[OracleEntry]:
-        key = (snippet_cache_key(snippet), space_cache_key(space),
-               objective_cache_key(objective))
-        entry = self._entries.get(key)
+        bucket = self._bucket(space, objective)
+        key = snippet_cache_key(snippet)
+        entry = bucket.get(key)
         if entry is not None:
             self.hits += 1
             _GLOBAL_CACHE_STATS["hits"] += 1
@@ -292,7 +303,7 @@ class OracleCache:
                 persistent_entry_digest(snippet, space, objective)
             )
             if stored is not None:
-                self._entries[key] = stored
+                bucket[key] = stored
                 self.store_hits += 1
                 _GLOBAL_CACHE_STATS["store_hits"] += 1
                 return stored
@@ -302,9 +313,7 @@ class OracleCache:
 
     def store(self, snippet: Snippet, space: ConfigurationSpace,
               objective: Objective, entry: OracleEntry) -> OracleEntry:
-        key = (snippet_cache_key(snippet), space_cache_key(space),
-               objective_cache_key(objective))
-        self._entries[key] = entry
+        self._bucket(space, objective)[snippet_cache_key(snippet)] = entry
         if self.store_backend is not None:
             self.store_backend.put(
                 persistent_entry_digest(snippet, space, objective), entry
@@ -314,39 +323,40 @@ class OracleCache:
     def invalidate_snippet(self, snippet: Snippet) -> int:
         """Drop every entry for ``snippet`` (all spaces/objectives); return count."""
         target = snippet_cache_key(snippet)
-        stale = [key for key in self._entries if key[0] == target]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
+        removed = 0
+        for bucket in self._buckets.values():
+            if bucket.pop(target, None) is not None:
+                removed += 1
+        return removed
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._buckets.clear()
         self.hits = 0
         self.misses = 0
         self.store_hits = 0
         self.store_misses = 0
 
 
-def _best_entry(
+#: Upper bound on the (snippets x configurations) cells one 2-D Oracle
+#: sweep evaluates at once.  ``build_oracle`` splits its cache misses into
+#: chunks of ``sweep_chunk_rows(len(space))`` snippets, which bounds the
+#: sweep's temporary arrays (a few dozen float64 grids of this many cells)
+#: whatever the trace length.
+SWEEP_CHUNK_CELLS = 8192
+
+
+def sweep_chunk_rows(n_configurations: int) -> int:
+    """Snippets per 2-D sweep chunk for a space of ``n_configurations``."""
+    return max(1, SWEEP_CHUNK_CELLS // max(1, n_configurations))
+
+
+def _scalar_best_entry(
     simulator: SoCSimulator,
     space: ConfigurationSpace,
     snippet: Snippet,
     objective: Objective,
-    use_batch: bool,
 ) -> OracleEntry:
-    """Sweep one snippet over the space and return its minimising entry."""
-    if use_batch and hasattr(simulator, "evaluate_expected_batch"):
-        batch = simulator.evaluate_expected_batch(snippet, space)
-        costs = objective.batch_cost(batch)
-        # np.argmin returns the first minimum, matching the scalar loop's
-        # strict `cost < best_cost` tie-breaking.
-        best_index = int(np.argmin(costs))
-        return OracleEntry(
-            snippet_name=snippet.name,
-            best_configuration=batch.configurations[best_index],
-            best_cost=float(costs[best_index]),
-            best_result=batch.result_at(best_index),
-        )
+    """Sweep one snippet config by config (the scalar reference loop)."""
     best_config: Optional[SoCConfiguration] = None
     best_cost = float("inf")
     best_result: Optional[SnippetResult] = None
@@ -366,6 +376,30 @@ def _best_entry(
     )
 
 
+def _grid_best_entries(
+    simulator: SoCSimulator,
+    space: ConfigurationSpace,
+    snippets: List[Snippet],
+    objective: Objective,
+) -> List[OracleEntry]:
+    """Sweep ``snippets`` over the space in one 2-D kernel call."""
+    batches = simulator.evaluate_expected_grid(snippets, space)
+    costs = np.array([objective.batch_cost(batch) for batch in batches])
+    # np.argmin returns the first minimum of each row, matching the scalar
+    # loop's strict `cost < best_cost` tie-breaking.
+    best = costs.argmin(axis=1)
+    best_costs = costs[np.arange(len(batches)), best].tolist()
+    return [
+        OracleEntry(
+            snippet_name=batch.snippet.name,
+            best_configuration=batch.configurations[index],
+            best_cost=cost,
+            best_result=batch.result_at(index),
+        )
+        for batch, index, cost in zip(batches, best.tolist(), best_costs)
+    ]
+
+
 def build_oracle(
     simulator: SoCSimulator,
     space: ConfigurationSpace,
@@ -380,20 +414,57 @@ def build_oracle(
     space; the minimising configuration is stored.  The sweep scales as
     ``len(snippets) * len(space)`` — this is exactly the "high computational
     complexity" that makes Oracle construction impossible at runtime on real
-    hardware, so the sweep runs through the simulator's vectorized
-    ``evaluate_expected_batch`` engine method whenever available
-    (``use_batch=False`` forces the scalar reference loop; both produce
-    bitwise-identical tables).  Passing an :class:`OracleCache` skips
-    snippets whose entries were already computed for this space/objective.
+    hardware, so all cache misses are swept together through the
+    simulator's 2-D ``evaluate_expected_grid`` kernel whenever available,
+    in chunks of at most :data:`SWEEP_CHUNK_CELLS` (snippet, configuration)
+    cells (``use_batch=False`` forces the scalar reference loop; both
+    produce bitwise-identical tables).
+
+    Passing an :class:`OracleCache` skips snippets whose entries were
+    already computed for this space/objective.  The cache sees the same
+    per-snippet calls as in a snippet-by-snippet build, lookups first: one
+    ``lookup`` per snippet and one ``store`` per swept entry.  A repeat of
+    a snippet still waiting to be swept is looked up once its entry is
+    stored, so it counts as a hit, as it would have snippet by snippet.
     """
+    snippets = list(snippets)
+    entries: List[Optional[OracleEntry]] = [None] * len(snippets)
+    missed: List[int] = []
+    repeats: List[int] = []
+    if cache is None:
+        missed = list(range(len(snippets)))
+    else:
+        pending = set()
+        for i, snippet in enumerate(snippets):
+            key = snippet_cache_key(snippet)
+            if key in pending:
+                repeats.append(i)
+                continue
+            entries[i] = cache.lookup(snippet, space, objective)
+            if entries[i] is None:
+                pending.add(key)
+                missed.append(i)
+
+    if use_batch and hasattr(simulator, "evaluate_expected_grid"):
+        rows = sweep_chunk_rows(len(space))
+        for start in range(0, len(missed), rows):
+            chunk = missed[start:start + rows]
+            swept = _grid_best_entries(
+                simulator, space, [snippets[i] for i in chunk], objective)
+            for i, entry in zip(chunk, swept):
+                entries[i] = entry
+    else:
+        for i in missed:
+            entries[i] = _scalar_best_entry(simulator, space, snippets[i],
+                                            objective)
+    if cache is not None:
+        for i in missed:
+            cache.store(snippets[i], space, objective, entries[i])
+        for i in repeats:
+            entries[i] = cache.lookup(snippets[i], space, objective)
+
     table = OracleTable(objective_name=objective.name)
-    for snippet in snippets:
-        entry = (cache.lookup(snippet, space, objective)
-                 if cache is not None else None)
-        if entry is None:
-            entry = _best_entry(simulator, space, snippet, objective, use_batch)
-            if cache is not None:
-                cache.store(snippet, space, objective, entry)
+    for snippet, entry in zip(snippets, entries):
         table.entries[snippet.name] = entry
     return table
 

@@ -8,7 +8,7 @@ of ``S`` scalar simulator calls.
 
 Bitwise equivalence with the scalar path is maintained the same way the
 engine sweep (:meth:`~repro.soc.simulator.SoCSimulator
-.evaluate_expected_batch`) maintains it: every per-OPP quantity comes from
+.evaluate_expected_grid`) maintains it: every per-OPP quantity comes from
 the simulator's cached scalar-built tables
 (:meth:`~repro.soc.simulator.SoCSimulator._cluster_sweep_tables`), and the
 remaining operations are ordered exactly like their scalar counterparts —
@@ -19,11 +19,11 @@ log-normal factor stream from the device's own generator, which consumes
 the generator exactly like the scalar path's two per-step draws); the
 kernel just applies the factors with the scalar path's arithmetic.
 
-The difference from ``evaluate_expected_batch`` is the axis: that kernel
-sweeps *one snippet across many configurations* (Oracle construction);
+The difference from ``evaluate_expected_grid`` is the shape: that kernel
+sweeps *every snippet at every configuration* (Oracle construction);
 this one sweeps *many (snippet, configuration) pairs* — one per device —
-which is why snippet characteristics arrive as per-device rows
-(:class:`TraceArrays`) rather than scalars.
+so snippet characteristics and configurations arrive as per-device rows
+(:class:`TraceArrays`) rather than as the two axes of a grid.
 """
 
 from __future__ import annotations
@@ -35,20 +35,7 @@ import numpy as np
 from repro.soc.configuration import SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.simulator import SnippetResult, SoCSimulator
-from repro.soc.snippet import Snippet
-
-#: Column layout of :attr:`TraceArrays.matrix`.
-TRACE_COLUMNS = (
-    "n_instructions",
-    "memory_intensity",
-    "memory_access_rate",
-    "external_request_rate",
-    "branch_misprediction_mpki",
-    "ilp_factor",
-    "parallel_fraction",
-    "thread_count",
-    "big_fraction",
-)
+from repro.soc.snippet import Snippet, trace_matrix
 
 
 class TraceArrays:
@@ -63,20 +50,7 @@ class TraceArrays:
 
     def __init__(self, snippets: Sequence[Snippet]) -> None:
         self.snippets = list(snippets)
-        matrix = np.empty((len(self.snippets), len(TRACE_COLUMNS)))
-        for t, snippet in enumerate(self.snippets):
-            chars = snippet.characteristics
-            row = matrix[t]
-            row[0] = snippet.n_instructions
-            row[1] = chars.memory_intensity
-            row[2] = chars.memory_access_rate
-            row[3] = chars.external_request_rate
-            row[4] = chars.branch_misprediction_mpki
-            row[5] = chars.ilp_factor
-            row[6] = chars.parallel_fraction
-            row[7] = chars.thread_count
-            row[8] = chars.big_fraction
-        self.matrix = matrix
+        self.matrix = trace_matrix(self.snippets)
 
     def __len__(self) -> int:
         return len(self.snippets)

@@ -48,9 +48,10 @@ import multiprocessing
 import numpy as np
 
 from repro.fleet.device import DeviceSpec, FleetBuildWarning, build_fleet
-from repro.fleet.kernels import TRACE_COLUMNS, TraceArrays
+from repro.fleet.kernels import TraceArrays
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SoCSimulator
+from repro.soc.snippet import TRACE_COLUMNS
 from repro.utils.rng import make_rng
 
 try:  # pragma: no cover - platform capability probe

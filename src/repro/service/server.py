@@ -46,6 +46,13 @@ from repro.service.run import ServiceRun
 #: clients and the demo can find a server started with ``--port 0``.
 PORT_FILE = "server.port"
 
+#: Largest request body the server reads; a larger ``Content-Length`` is
+#: answered with 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
+#: Most header lines one request may carry; one more is answered with 431.
+MAX_HEADER_LINES = 64
+
 
 class ServiceServer:
     """Serve one :class:`ServiceRun` until it finishes or is drained."""
@@ -143,8 +150,9 @@ class ServiceServer:
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed",
-                  408: "Request Timeout"}.get(status, "Error")
+                  405: "Method Not Allowed", 408: "Request Timeout",
+                  413: "Payload Too Large",
+                  431: "Request Header Fields Too Large"}.get(status, "Error")
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: application/json\r\n"
@@ -166,13 +174,26 @@ class ServiceServer:
             return 400, {"error": f"malformed request line {request_line!r}"}
         method, path = parts[0].upper(), parts[1]
         content_length = 0
+        header_lines = 0
         while True:
             line = (await reader.readline()).decode("latin-1").strip()
             if not line:
                 break
+            header_lines += 1
+            if header_lines > MAX_HEADER_LINES:
+                return 431, {"error": f"more than {MAX_HEADER_LINES} "
+                                      "header lines"}
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
+                value = value.strip()
+                # Only plain ASCII digits: int() would also take a sign,
+                # underscores and non-ASCII digits.
+                if not (value.isascii() and value.isdigit()):
+                    return 400, {"error": f"bad Content-Length {value!r}"}
+                content_length = int(value)
+        if content_length > MAX_BODY_BYTES:
+            return 413, {"error": f"body of {content_length} bytes exceeds "
+                                  f"the {MAX_BODY_BYTES}-byte limit"}
         body = b""
         if content_length:
             body = await reader.readexactly(content_length)

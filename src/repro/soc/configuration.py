@@ -480,7 +480,7 @@ class ConfigurationSpace:
         """Per-cluster ``(opp_index, active_cores)`` arrays over the space.
 
         Used by the vectorized engine sweep
-        (:meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch`);
+        (:meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_grid`);
         the space is immutable after construction, so the arrays are built
         once and cached.
         """

@@ -30,14 +30,14 @@ from counters, which makes the learning problem realistic but solvable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.soc.configuration import SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.platform import PlatformSpec
-from repro.soc.snippet import Snippet
+from repro.soc.snippet import Snippet, trace_matrix
 from repro.utils.rng import make_rng
 
 #: Bytes transferred per non-cache external memory request (cache line).
@@ -94,8 +94,9 @@ class SnippetResult:
 class SoCBatchResult:
     """Struct-of-arrays outcome of one snippet swept across many configurations.
 
-    Produced by :meth:`SoCSimulator.evaluate_expected_batch`; every array has
-    one element per configuration, in the order of :attr:`configurations`.
+    Produced by :meth:`SoCSimulator.evaluate_expected_grid` (one per snippet,
+    its arrays row views of the grid); every array has one element per
+    configuration, in the order of :attr:`configurations`.
     Values are bitwise identical to what per-configuration
     :meth:`SoCSimulator.evaluate_expected` calls would produce;
     :meth:`result_at` materialises the full :class:`SnippetResult` for one
@@ -273,12 +274,13 @@ class SoCSimulator:
         with exactly the scalar :meth:`run_snippet` arithmetic per element:
         the per-OPP coefficients come from :meth:`_cluster_sweep_tables`
         and every operation mirrors the scalar order, so the results are
-        bitwise identical whether the arrays span one snippet across many
-        configurations (:meth:`evaluate_expected_batch`) or many
+        bitwise identical whether the arrays span a (snippets x
+        configurations) grid (:meth:`evaluate_expected_grid`) or many
         (snippet, configuration) pairs across a device fleet
-        (:func:`repro.fleet.kernels.lockstep_execute`).
-        ``external_requests`` may be a scalar (one snippet) or a
-        per-element array (one per pair).
+        (:func:`repro.fleet.kernels.lockstep_execute`).  ``n`` is the
+        shape of the result arrays; the per-configuration inputs
+        (``opp_idx``, ``cores``) and ``external_requests`` (one per
+        snippet) broadcast against it.
         """
         cluster_names = self.platform.cluster_names
         utilizations: Dict[str, np.ndarray] = {}
@@ -463,22 +465,42 @@ class SoCSimulator:
     ) -> SoCBatchResult:
         """Noise-free evaluation of one snippet across many configurations.
 
-        This is the vectorized twin of :meth:`evaluate_expected`: the whole
-        configuration sweep is computed with NumPy array operations instead
-        of one :meth:`run_snippet` call per configuration, which is what
-        makes exhaustive Oracle construction fast.
-
-        Bitwise equivalence with the scalar path is maintained by performing
-        every quantity that depends only on the OPP index (CPI, serial time,
-        per-OPP power coefficients) with the *same* Python-scalar arithmetic
-        as :meth:`run_snippet`, and by ordering the remaining array
-        operations exactly like their scalar counterparts.
+        The one-row case of :meth:`evaluate_expected_grid`, which is the
+        library's single configuration-sweep kernel.
         """
+        return self.evaluate_expected_grid([snippet], configurations)[0]
+
+    def evaluate_expected_grid(
+        self,
+        snippets: Sequence[Snippet],
+        configurations: Iterable[SoCConfiguration],
+    ) -> List[SoCBatchResult]:
+        """Noise-free evaluation of every snippet at every configuration.
+
+        This is the vectorized twin of :meth:`evaluate_expected`: the whole
+        (snippets x configurations) grid is computed with 2-D NumPy array
+        operations (one row per snippet) instead of one :meth:`run_snippet`
+        call per pair, which is what makes exhaustive Oracle construction
+        fast.  Returns one :class:`SoCBatchResult` per snippet whose arrays
+        are row views of the shared grid arrays (a per-OPP power term that
+        does not depend on the snippet is shared by every row as is).
+
+        Bitwise equivalence with the scalar path is maintained by ordering
+        every elementwise operation exactly like :meth:`run_snippet` —
+        IEEE-754 array arithmetic rounds identically to the equivalent
+        Python-scalar arithmetic — including the zero-work branch of a
+        cluster that receives no instructions.  Memory grows with
+        ``len(snippets) * len(configurations)``; callers sweeping long
+        traces pass them in chunks (see :func:`repro.core.oracle.build_oracle`).
+        """
+        snippets = list(snippets)
         configs = list(configurations)
         if not configs:
-            raise ValueError("evaluate_expected_batch needs at least one configuration")
+            raise ValueError("evaluate_expected_grid needs at least one configuration")
+        if not snippets:
+            return []
         n = len(configs)
-        chars = snippet.characteristics
+        shape = (len(snippets), n)
         cluster_names = self.platform.cluster_names
 
         opp_idx: Dict[str, np.ndarray] = {}
@@ -499,6 +521,13 @@ class SoCSimulator:
                     (c.cores(name) for c in configs), dtype=np.intp, count=n
                 )
 
+        # Snippet characteristics as (rows, 1) columns broadcasting over
+        # the configuration axis.
+        chars = trace_matrix(snippets)
+        (n_instr, memory_intensity, memory_access_rate, external_request_rate,
+         branch_mpki, ilp_factor, parallel_fraction, thread_count,
+         big_fraction) = np.hsplit(chars, chars.shape[1])
+
         elapsed: Dict[str, np.ndarray] = {}
         busy: Dict[str, np.ndarray] = {}
         cycles: Dict[str, np.ndarray] = {}
@@ -506,35 +535,36 @@ class SoCSimulator:
             spec = self.platform.cluster(name)
             frequency_hz, frequency_ghz, _, _ = self._cluster_sweep_tables(name)
             if name == "big":
-                instructions = snippet.n_instructions * chars.big_fraction
+                instructions = n_instr * big_fraction
             else:
-                instructions = snippet.n_instructions * (1.0 - chars.big_fraction)
-            if instructions <= 0.0:
-                elapsed[name] = np.zeros(n)
-                busy[name] = np.zeros(n)
-                cycles[name] = np.zeros(n)
-                continue
-            # CPI over all OPPs in one shot; term grouping mirrors
+                instructions = n_instr * (1.0 - big_fraction)
+            # CPI of every row at every OPP; term grouping mirrors
             # _cluster_cpi exactly so the floats come out bitwise equal.
-            cpi_base = spec.base_cpi / chars.ilp_factor
+            cpi_base = spec.base_cpi / ilp_factor
             cpi_base = cpi_base + (
-                chars.branch_misprediction_mpki / 1000.0 * spec.branch_penalty_cycles
+                branch_mpki / 1000.0 * spec.branch_penalty_cycles
             )
-            memory_term = chars.memory_intensity / 1000.0 * spec.l2_miss_penalty_ns
+            memory_term = memory_intensity / 1000.0 * spec.l2_miss_penalty_ns
             cpi_by_opp = cpi_base + memory_term * frequency_ghz
             cycles_by_opp = instructions * cpi_by_opp
             serial_by_opp = cycles_by_opp / frequency_hz
-            amdahl_by_cores = np.empty(spec.n_cores + 1)
-            for c in range(spec.n_cores + 1):
-                usable_cores = max(1, min(c, chars.thread_count))
-                amdahl_by_cores[c] = 1.0 / (
-                    (1.0 - chars.parallel_fraction)
-                    + chars.parallel_fraction / usable_cores
-                )
-            serial_time = serial_by_opp[opp_idx[name]]
-            elapsed[name] = serial_time / amdahl_by_cores[cores[name]]
+            # Amdahl speedup of every row at every active-core count.
+            usable_cores = np.maximum(
+                1.0, np.minimum(np.arange(spec.n_cores + 1), thread_count)
+            )
+            amdahl_by_cores = 1.0 / (
+                (1.0 - parallel_fraction) + parallel_fraction / usable_cores
+            )
+            serial_time = serial_by_opp[:, opp_idx[name]]
+            elapsed[name] = serial_time / amdahl_by_cores[:, cores[name]]
             busy[name] = serial_time
-            cycles[name] = cycles_by_opp[opp_idx[name]]
+            cycles[name] = cycles_by_opp[:, opp_idx[name]]
+            idle = instructions <= 0.0
+            if idle.any():
+                # run_snippet's zero-work branch for this cluster.
+                elapsed[name] = np.where(idle, 0.0, elapsed[name])
+                busy[name] = np.where(idle, 0.0, busy[name])
+                cycles[name] = np.where(idle, 0.0, cycles[name])
 
         total_time = elapsed[cluster_names[0]]
         for name in cluster_names[1:]:
@@ -542,36 +572,46 @@ class SoCSimulator:
         if np.any(total_time <= 0.0):
             raise ValueError("snippet produced zero execution time")
 
-        l2_misses = snippet.n_instructions * chars.memory_intensity / 1000.0
-        external_requests = l2_misses * chars.external_request_rate
+        l2_misses = n_instr * memory_intensity / 1000.0
+        external_requests = l2_misses * external_request_rate
         utilizations, power_breakdown, total_power = (
             self._batch_utilization_and_power(
-                opp_idx, cores, busy, total_time, external_requests, n
+                opp_idx, cores, busy, total_time, external_requests, shape
             )
         )
 
         energy = total_power * total_time
-        total_cycles = np.zeros(n)
+        total_cycles = np.zeros(shape)
         for name in cluster_names:
             total_cycles = total_cycles + cycles[name]
 
-        return SoCBatchResult(
-            snippet=snippet,
-            configurations=configs,
-            execution_time_s=total_time,
-            energy_j=energy,
-            average_power_w=total_power,
-            cpu_cycles=total_cycles,
-            cluster_utilization=utilizations,
-            power_breakdown_w=power_breakdown,
-            instructions_retired=snippet.n_instructions,
-            branch_mispredictions=(
-                snippet.n_instructions * chars.branch_misprediction_mpki / 1000.0
-            ),
-            l2_cache_misses=l2_misses,
-            data_memory_accesses=snippet.n_instructions * chars.memory_access_rate,
-            noncache_external_memory_requests=external_requests,
-        )
+        branch_l = (n_instr * branch_mpki / 1000.0).ravel().tolist()
+        l2_l = l2_misses.ravel().tolist()
+        dma_l = (n_instr * memory_access_rate).ravel().tolist()
+        external_l = external_requests.ravel().tolist()
+        results: List[SoCBatchResult] = []
+        for row, snippet in enumerate(snippets):
+            results.append(SoCBatchResult(
+                snippet=snippet,
+                configurations=configs,
+                execution_time_s=total_time[row],
+                energy_j=energy[row],
+                average_power_w=total_power[row],
+                cpu_cycles=total_cycles[row],
+                cluster_utilization={
+                    name: values[row] for name, values in utilizations.items()
+                },
+                power_breakdown_w={
+                    key: values[row] if values.ndim == 2 else values
+                    for key, values in power_breakdown.items()
+                },
+                instructions_retired=snippet.n_instructions,
+                branch_mispredictions=branch_l[row],
+                l2_cache_misses=l2_l[row],
+                data_memory_accesses=dma_l[row],
+                noncache_external_memory_requests=external_l[row],
+            ))
+        return results
 
     def evaluate_batch(
         self, snippet: Snippet, configurations: Iterable[SoCConfiguration]

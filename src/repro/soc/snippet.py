@@ -10,7 +10,9 @@ cluster-assignment decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Sequence
+
+import numpy as np
 
 #: Default snippet length (dynamic instructions) used by the IL experiments.
 DEFAULT_SNIPPET_INSTRUCTIONS: float = 20e6
@@ -100,3 +102,38 @@ class Snippet:
     @property
     def name(self) -> str:
         return f"{self.application}[{self.index}]"
+
+
+#: Column layout of :func:`trace_matrix` rows.
+TRACE_COLUMNS = (
+    "n_instructions",
+    "memory_intensity",
+    "memory_access_rate",
+    "external_request_rate",
+    "branch_misprediction_mpki",
+    "ilp_factor",
+    "parallel_fraction",
+    "thread_count",
+    "big_fraction",
+)
+
+
+def trace_matrix(snippets: Sequence[Snippet]) -> np.ndarray:
+    """``(len(snippets), len(TRACE_COLUMNS))`` float matrix of the snippets'
+    length and characteristics, one row per snippet — the input layout of
+    the vectorized simulator kernels."""
+    rows = []
+    for snippet in snippets:
+        chars = snippet.characteristics
+        rows.append((
+            snippet.n_instructions,
+            chars.memory_intensity,
+            chars.memory_access_rate,
+            chars.external_request_rate,
+            chars.branch_misprediction_mpki,
+            chars.ilp_factor,
+            chars.parallel_fraction,
+            chars.thread_count,
+            chars.big_fraction,
+        ))
+    return np.array(rows, dtype=float).reshape(len(rows), len(TRACE_COLUMNS))

@@ -296,6 +296,39 @@ class TestOracleCache:
         assert cache.hits == 0
         assert len(cache) == 2 * len(sweep_trace)
 
+    def test_equal_content_spaces_share_one_bucket(self, platform, simulator,
+                                                   space, sweep_trace):
+        from repro.soc.configuration import ConfigurationSpace
+        twin = ConfigurationSpace(platform)
+        assert twin is not space and twin.content_key() == space.content_key()
+        cache = OracleCache()
+        first = build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
+        second = build_oracle(simulator, twin, sweep_trace, ENERGY, cache=cache)
+        assert cache.hits == len(sweep_trace)
+        assert len(cache._buckets) == 1
+        assert len(cache) == len(sweep_trace)
+        for name in first.entries:
+            assert first.entries[name] is second.entries[name]
+
+    def test_restricted_space_never_shares_the_full_bucket(
+            self, simulator, space, sweep_trace):
+        cache = OracleCache()
+        build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
+        for cap in (0, 2):
+            restricted = space.restrict(max_opp_index=cap)
+            table = build_oracle(simulator, restricted, sweep_trace, ENERGY,
+                                 cache=cache)
+            for entry in table.entries.values():
+                assert restricted.contains(entry.best_configuration)
+        assert cache.hits == 0
+        assert len(cache._buckets) == 3
+        assert len(cache) == 3 * len(sweep_trace)
+        # A non-binding restriction is the full space and reuses its bucket.
+        build_oracle(simulator, space.restrict(max_opp_index=10**6),
+                     sweep_trace, ENERGY, cache=cache)
+        assert cache.hits == len(sweep_trace)
+        assert len(cache._buckets) == 3
+
     def test_invalidation(self, simulator, space, sweep_trace):
         cache = OracleCache()
         build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)

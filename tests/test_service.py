@@ -10,6 +10,7 @@ HTTP with a real SIGKILL'd server subprocess.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -30,6 +31,11 @@ from repro.service.protocol import (
     StepBoundary,
 )
 from repro.service.run import RunConfig, ServiceRun, build_config_devices
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    ServiceServer,
+)
 
 CONFIG = RunConfig(policy="ondemand", scale="tiny", n_devices=2, seed=7,
                    snapshot_every=3)
@@ -271,6 +277,92 @@ class TestTelemetry:
         run = ServiceRun.start(config=config)
         run.run_to_completion()
         assert any(alert.device == "device-00" for alert in run.alerts)
+
+
+# --------------------------------------------------------------------- #
+# HTTP request parsing (in process, no socket)
+# --------------------------------------------------------------------- #
+class _CapturedWriter:
+    """Stand-in for the connection's StreamWriter that keeps the bytes."""
+
+    def __init__(self) -> None:
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def _exchange(raw: bytes, eof: bool = True):
+    """Serve one raw request; return (status, JSON body, unread bytes)."""
+    server = ServiceServer(ServiceRun.start(config=CONFIG),
+                           request_timeout=5.0)
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        if eof:
+            reader.feed_eof()
+        writer = _CapturedWriter()
+        await server._handle_connection(reader, writer)
+        if not eof:
+            reader.feed_eof()
+        return writer.data, await reader.read()
+
+    response, unread = asyncio.run(go())
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body), unread
+
+
+class TestHTTPParsing:
+    @pytest.mark.parametrize("value", ["abc", "-1", "+5", "1.5", "", "\u00b2"])
+    def test_bad_content_length_is_400(self, value):
+        raw = (f"POST /pause HTTP/1.1\r\nContent-Length: {value}\r\n\r\n"
+               .encode("latin-1"))
+        status, payload, _ = _exchange(raw)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_body_is_413_and_never_read(self):
+        body = b"x" * 32
+        raw = (f"POST /dispatch HTTP/1.1\r\n"
+               f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n").encode()
+        # No EOF until the response is written: reading the announced body
+        # would block until the request deadline (408) instead.
+        status, payload, unread = _exchange(raw + body, eof=False)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert unread == body
+
+    def test_body_at_the_cap_is_accepted(self):
+        raw = (f"POST /pause HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}"
+               "\r\n\r\n").encode() + b" " * MAX_BODY_BYTES
+        status, _, _ = _exchange(raw)
+        # Whitespace is not a JSON object: rejected by the route, not the
+        # size check.
+        assert status == 400
+
+    def test_too_many_headers_is_431(self):
+        headers = "".join(f"X-Filler-{i}: {i}\r\n"
+                          for i in range(MAX_HEADER_LINES + 1))
+        raw = f"GET /status HTTP/1.1\r\n{headers}\r\n".encode()
+        status, payload, _ = _exchange(raw)
+        assert status == 431
+        assert str(MAX_HEADER_LINES) in payload["error"]
+
+    def test_headers_at_the_limit_are_served(self):
+        headers = "".join(f"X-Filler-{i}: {i}\r\n"
+                          for i in range(MAX_HEADER_LINES - 1))
+        raw = (f"GET /status HTTP/1.1\r\n{headers}Content-Length: 0\r\n"
+               "\r\n").encode()
+        status, payload, _ = _exchange(raw)
+        assert status == 200
+        assert payload["rounds"] == 0
 
 
 # --------------------------------------------------------------------- #
