@@ -214,7 +214,7 @@ class OnlineILPolicy(DRMPolicy):
         # identically across worker processes.
         return ("OnlineILPolicy", self.space.content_key(),
                 oracle.neighborhood_radius,
-                oracle.metric, tuple(core.layer_sizes), core.activation_name)
+                oracle.metric, tuple(core.layer_sizes))
 
     def fleet_observe_key(self) -> Optional[Tuple]:
         if type(self) is not OnlineILPolicy:

@@ -196,7 +196,7 @@ def persistent_entry_digest(snippet: Snippet, space: ConfigurationSpace,
     """
     return content_digest(
         snippet_cache_key(snippet),
-        space.cache_key(),
+        space.content_key(),
         persistent_objective_key(objective),
         code_fingerprint(),
     )

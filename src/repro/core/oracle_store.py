@@ -305,4 +305,4 @@ def default_space_digest() -> str:
     from repro.soc.platform import odroid_xu3_like
 
     space = ConfigurationSpace(odroid_xu3_like())
-    return content_digest(space.cache_key(), code_fingerprint())
+    return content_digest(space.content_key(), code_fingerprint())

@@ -12,7 +12,6 @@ from repro.gpu.gpu import GPUSpec, GPUConfiguration, default_integrated_gpu
 from repro.gpu.frames import Frame, FrameTrace, FrameResult
 from repro.gpu.baseline_governor import BaselineGPUGovernor
 from repro.gpu.simulator import (
-    GPUBatchResult,
     GPUController,
     GPURunSummary,
     GPUSimulator,
@@ -27,7 +26,6 @@ __all__ = [
     "FrameResult",
     "BaselineGPUGovernor",
     "GPUSimulator",
-    "GPUBatchResult",
     "GPURunSummary",
     "GPUController",
 ]

@@ -8,7 +8,7 @@ on firmware-friendly, low-overhead models.
 """
 
 from repro.ml.base import Regressor, Classifier, OnlineRegressor
-from repro.ml.scaling import StandardScaler, MinMaxScaler
+from repro.ml.scaling import StandardScaler
 from repro.ml.metrics import (
     mean_squared_error,
     root_mean_squared_error,
@@ -19,13 +19,12 @@ from repro.ml.metrics import (
 )
 from repro.ml.linear import LinearRegressor, RidgeRegressor
 from repro.ml.rls import RecursiveLeastSquares
-from repro.ml.mlp import MLPRegressor, MLPClassifier
+from repro.ml.mlp import MLPClassifier
 from repro.ml.tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     trees_identical,
 )
-from repro.ml.forest import BaggedTreesRegressor
 from repro.ml.svr import SupportVectorRegressor
 from repro.ml.knn import KNeighborsRegressor
 
@@ -34,7 +33,6 @@ __all__ = [
     "Classifier",
     "OnlineRegressor",
     "StandardScaler",
-    "MinMaxScaler",
     "mean_squared_error",
     "root_mean_squared_error",
     "mean_absolute_error",
@@ -44,12 +42,10 @@ __all__ = [
     "LinearRegressor",
     "RidgeRegressor",
     "RecursiveLeastSquares",
-    "MLPRegressor",
     "MLPClassifier",
     "DecisionTreeRegressor",
     "DecisionTreeClassifier",
     "trees_identical",
-    "BaggedTreesRegressor",
     "SupportVectorRegressor",
     "KNeighborsRegressor",
 ]

@@ -189,7 +189,6 @@ class ConfigurationSpace:
             cfg: i for i, cfg in enumerate(self._configs)
         }
         self._batch_arrays: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
-        self._cache_key: Optional[Tuple] = None
         self._content_key: Optional[Tuple] = None
         self._restrictions: Dict[Tuple[Tuple[str, int], ...],
                                  "ConfigurationSpace"] = {}
@@ -279,7 +278,7 @@ class ConfigurationSpace:
         caps already active on this space are also kept).  This is how thermal
         throttling events shrink the reachable configuration space: the
         restricted space is a genuine :class:`ConfigurationSpace` (subset of
-        this one's configurations), with its own :meth:`cache_key`, so Oracle
+        this one's configurations), with its own :meth:`content_key`, so Oracle
         entries computed against the full space are never reused for it.
 
         Restrictions are memoised per base space: asking for the same
@@ -563,44 +562,6 @@ class ConfigurationSpace:
             self._opp_lookup = table
         return self._opp_lookup
 
-    def cache_key(self) -> Tuple:
-        """Content-derived key identifying this space (for Oracle caches).
-
-        Includes every platform parameter that feeds the simulator's power
-        and performance models, so two same-named platforms with different
-        OPP tables or coefficients never share cache entries.  The active
-        OPP-index caps (scenario throttling restrictions) are part of the key
-        in addition to the enumerated configuration list, so a restricted
-        space never aliases the full space's Oracle entries; caps are
-        normalised at construction (non-binding caps are dropped), so a
-        degenerate restriction that keeps every configuration keys — and
-        correctly shares — exactly like the unrestricted space.
-        """
-        if self._cache_key is None:
-            clusters = []
-            for name in self.cluster_order:
-                spec = self.platform.clusters[name]
-                clusters.append((
-                    name,
-                    spec.n_cores,
-                    spec.ipc_peak,
-                    spec.capacitance_eff_f,
-                    spec.leakage_w_per_v,
-                    spec.base_cpi,
-                    spec.branch_penalty_cycles,
-                    spec.l2_miss_penalty_ns,
-                    tuple((opp.frequency_hz, opp.voltage_v) for opp in spec.opps),
-                ))
-            self._cache_key = (
-                self.platform.name,
-                self.platform.memory_power_w_per_gbps,
-                self.platform.base_power_w,
-                tuple(clusters),
-                tuple(sorted(self.max_opp_indices.items())),
-                tuple(self._configs),
-            )
-        return self._cache_key
-
     def content_key(self) -> Tuple:
         """Content-derived, process-stable identity of this space.
 
@@ -615,7 +576,15 @@ class ConfigurationSpace:
         ``opp_lookup_table``, the default configuration) is a pure
         function of exactly the constructor state captured here.  The
         enumerated configuration list itself is *derived* from this state,
-        so unlike :meth:`cache_key` it need not be embedded.
+        so it need not be embedded.
+
+        Oracle caches and the persistent Oracle store key spaces on it too:
+        it covers every platform parameter that feeds the simulator's power
+        and performance models, and the active OPP-index caps (scenario
+        throttling restrictions), so a restricted space never aliases the
+        full space's Oracle entries.  Caps are normalised at construction
+        (non-binding caps are dropped), so a degenerate restriction keys
+        exactly like the unrestricted space.
         """
         if self._content_key is None:
             self._content_key = (

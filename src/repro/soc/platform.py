@@ -70,7 +70,7 @@ class PlatformSpec:
         """Content-derived, process-stable identity of this platform.
 
         Covers every parameter that feeds the power/performance models
-        (same coverage as ``ConfigurationSpace.cache_key``), so two
+        (the platform part of ``ConfigurationSpace.content_key``), so two
         platform objects with equal content — e.g. the same spec pickled
         into another process — produce equal keys, while any model-visible
         difference (an OPP table, a coefficient) splits them.  Unlike

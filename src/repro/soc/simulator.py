@@ -166,9 +166,6 @@ class SoCBatchResult:
 class SoCSimulator:
     """Counter-driven simulator of a heterogeneous big.LITTLE SoC."""
 
-    #: :class:`~repro.core.engine.SimulationEngine` identifier.
-    engine_name = "soc"
-
     def __init__(
         self,
         platform: PlatformSpec,
@@ -612,12 +609,6 @@ class SoCSimulator:
                 noncache_external_memory_requests=external_l[row],
             ))
         return results
-
-    def evaluate_batch(
-        self, snippet: Snippet, configurations: Iterable[SoCConfiguration]
-    ) -> SoCBatchResult:
-        """:class:`~repro.core.engine.SimulationEngine` batch entry point."""
-        return self.evaluate_expected_batch(snippet, configurations)
 
     def sweep_configurations(self, snippet: Snippet, configs) -> Dict[SoCConfiguration, SnippetResult]:
         """Evaluate one snippet across many configurations (noise-free)."""

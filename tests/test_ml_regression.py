@@ -1,11 +1,10 @@
-"""Tests for the batch regression models (linear, ridge, trees, forest, SVR, kNN)."""
+"""Tests for the batch regression models (linear, ridge, trees, SVR, kNN)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml import (
-    BaggedTreesRegressor,
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     KNeighborsRegressor,
@@ -138,30 +137,6 @@ class TestDecisionTree:
         predictions = model.predict(x)
         assert predictions.min() >= y.min() - 1e-9
         assert predictions.max() <= y.max() + 1e-9
-
-
-class TestBaggedTrees:
-    def test_fits_nonlinear_function(self, rng):
-        x = rng.uniform(-2, 2, size=(200, 2))
-        y = np.sin(x[:, 0]) + x[:, 1] ** 2
-        model = BaggedTreesRegressor(n_estimators=8, max_depth=6, seed=0).fit(x, y)
-        assert r2_score(y, model.predict(x)) > 0.8
-
-    def test_max_features_subsampling(self, rng):
-        x = rng.normal(size=(80, 4))
-        y = x[:, 0]
-        model = BaggedTreesRegressor(n_estimators=5, max_features=0.5, seed=1).fit(x, y)
-        assert all(len(subset) == 2 for subset in model.feature_subsets_)
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            BaggedTreesRegressor().predict(np.zeros((1, 2)))
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            BaggedTreesRegressor(n_estimators=0)
-        with pytest.raises(ValueError):
-            BaggedTreesRegressor(max_features=1.5)
 
 
 class TestSVR:

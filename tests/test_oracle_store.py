@@ -237,7 +237,7 @@ class TestDefaultStoreAndDigests:
 
     def test_default_space_digest_matches_space_key(self, space):
         from repro.core.oracle_store import code_fingerprint
-        assert default_space_digest() == content_digest(space.cache_key(),
+        assert default_space_digest() == content_digest(space.content_key(),
                                                         code_fingerprint())
 
     def test_shard_digest_embeds_code_fingerprint(self, space, sweep_trace,

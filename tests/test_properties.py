@@ -1,13 +1,20 @@
 """Property-based randomized invariant tests.
 
-No hypothesis-style library is available in the environment, so each
-property is checked over a seeded family of random platforms, snippets,
-traces and configurations — every draw is reproducible from the parametrized
-seed.  The invariants:
+Each property is checked over a seeded family of random platforms,
+snippets and configurations — every draw is reproducible from the
+parametrized seed (hypothesis-driven properties live next to the code they
+cover, e.g. ``test_ml_regression.py``).  The invariants:
 
 * physics: energy/time/power of any execution are positive and finite;
-* batch == scalar parity for all three ``evaluate_batch`` engines
-  (SoC, GPU, NoC) on randomized inputs;
+* batch == scalar parity of the SoC ``evaluate_expected_batch`` sweep and
+  of the 2-D ``evaluate_expected_grid`` sweep on randomized inputs,
+  single-cluster snippets included;
+* GPU: a controller-driven ``run`` at one fixed configuration renders the
+  same frames as ``run_fixed``, noisy or not, and every frame's time and
+  energy accounting is self-consistent;
+* NoC: ``run`` equals ``run_packets`` on a replay of the same traffic, every
+  packet is conserved and XY-routed, and no packet beats the zero-load
+  latency of its route;
 * Oracle optimality: no policy can beat the Oracle table on the same
   snippets under noise-free execution, full or restricted space;
 * decision-tree classifiers: ``predict`` equals the argmax of
@@ -15,6 +22,8 @@ seed.  The invariants:
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,12 +38,12 @@ from repro.ml.tree import DecisionTreeClassifier
 from repro.noc.router import RouterConfig
 from repro.noc.simulator import NoCSimulator
 from repro.noc.topology import MeshTopology
-from repro.noc.traffic import UniformRandomTraffic
+from repro.noc.traffic import HotspotTraffic, TransposeTraffic, UniformRandomTraffic
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.platform import generic_big_little
 from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet, SnippetCharacteristics
-from repro.workloads.graphics import get_graphics_workload
+from repro.workloads.graphics import figure5_benchmark_order, get_graphics_workload
 
 PROPERTY_SEEDS = list(range(8))
 
@@ -110,55 +119,209 @@ class TestBatchScalarParity:
             assert batch.execution_time_s[i] == reference.execution_time_s
             assert batch.average_power_w[i] == reference.average_power_w
 
-    def test_gpu_batch_matches_scalar(self, seed):
+    def test_soc_grid_matches_scalar(self, seed):
+        rng = np.random.default_rng(seed)
+        platform = random_platform(rng)
+        space = ConfigurationSpace(platform)
+        simulator = SoCSimulator(platform, noise_scale=0.0, seed=seed)
+        snippets = [random_snippet(rng, index=i) for i in range(3)]
+        # Pin one snippet to each cluster so the zero-instruction branch of
+        # the other cluster is swept too.
+        snippets[1:] = [
+            dataclasses.replace(snippet, characteristics=dataclasses.replace(
+                snippet.characteristics, big_fraction=fraction))
+            for snippet, fraction in zip(snippets[1:], (0.0, 1.0))
+        ]
+        configs = list(space)
+        picks = rng.choice(len(configs), size=min(6, len(configs)),
+                           replace=False)
+        configs = [configs[int(k)] for k in picks]
+        rows = simulator.evaluate_expected_grid(snippets, configs)
+        assert len(rows) == len(snippets)
+        for snippet, row in zip(snippets, rows):
+            assert row.snippet is snippet
+            for i, config in enumerate(configs):
+                reference = simulator.evaluate_expected(snippet, config)
+                assert row.energy_j[i] == reference.energy_j
+                assert row.execution_time_s[i] == reference.execution_time_s
+                assert row.average_power_w[i] == reference.average_power_w
+
+
+class _FixedGPUController:
+    """GPU controller that always answers one configuration."""
+
+    def __init__(self, config: GPUConfiguration) -> None:
+        self.config = config
+        self.observed = 0
+
+    def reset(self) -> None:
+        self.observed = 0
+
+    def decide(self, upcoming_frame=None) -> GPUConfiguration:
+        return self.config
+
+    def observe(self, result) -> None:
+        self.observed += 1
+
+
+def random_frame_trace(rng: np.random.Generator, gpu_spec, seed: int):
+    names = figure5_benchmark_order() + ["nenamark2"]
+    return get_graphics_workload(
+        names[int(rng.integers(0, len(names)))], gpu=gpu_spec,
+        n_frames=int(rng.integers(5, 30)), seed=seed,
+    )
+
+
+def random_gpu_configuration(rng: np.random.Generator,
+                             gpu_spec) -> GPUConfiguration:
+    return GPUConfiguration(
+        opp_index=int(rng.integers(0, len(gpu_spec.opps))),
+        active_slices=int(rng.integers(1, gpu_spec.n_slices + 1)),
+    )
+
+
+@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
+class TestGPUInvariants:
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_controller_run_matches_run_fixed(self, seed, deterministic):
         rng = np.random.default_rng(seed)
         gpu_spec = default_integrated_gpu()
-        gpu = GPUSimulator(gpu_spec, seed=seed)
-        trace = get_graphics_workload(
-            "nenamark2", gpu=gpu_spec,
-            n_frames=int(rng.integers(5, 30)), seed=seed,
-        )
-        configs = [
-            GPUConfiguration(
-                opp_index=int(rng.integers(0, len(gpu_spec.opps))),
-                active_slices=int(rng.integers(1, gpu_spec.n_slices + 1)),
-            )
-            for _ in range(3)
-        ]
-        batch = gpu.evaluate_batch(trace, configs)
-        for i, config in enumerate(configs):
-            reference = gpu.run_fixed(trace, config, deterministic=True)
-            materialized = batch.summary_at(i)
-            assert materialized.gpu_energy_j == reference.gpu_energy_j
-            assert materialized.achieved_fps == reference.achieved_fps
-            assert (materialized.deadline_miss_rate
-                    == reference.deadline_miss_rate)
+        trace = random_frame_trace(rng, gpu_spec, seed)
+        config = random_gpu_configuration(rng, gpu_spec)
+        controller = _FixedGPUController(config)
+        # Equal seeds: the noisy paths draw the same per-frame noise.
+        controlled = GPUSimulator(gpu_spec, seed=seed).run(
+            trace, controller, deterministic=deterministic)
+        fixed = GPUSimulator(gpu_spec, seed=seed).run_fixed(
+            trace, config, deterministic=deterministic)
+        assert controller.observed == len(trace.frames)
+        assert controlled.n_frames == fixed.n_frames == len(trace.frames)
+        for got, want in zip(controlled.frame_results, fixed.frame_results):
+            assert (got.opp_index, got.active_slices) == (
+                config.opp_index, config.active_slices)
+            assert got.busy_time_s == want.busy_time_s
+            assert got.frame_time_s == want.frame_time_s
+            assert got.gpu_energy_j == want.gpu_energy_j
+            assert got.dram_energy_j == want.dram_energy_j
+            assert got.cpu_energy_j == want.cpu_energy_j
+            assert got.met_deadline == want.met_deadline
 
-    def test_noc_batch_matches_scalar(self, seed):
+    def test_frame_accounting(self, seed):
         rng = np.random.default_rng(seed)
-        width = int(rng.integers(2, 4))
-        topology = MeshTopology(width, width)
-        rate = float(rng.uniform(0.02, 0.10))
-        n_cycles = int(rng.integers(40, 120))
-        configs = [
-            RouterConfig(),
-            RouterConfig(router_delay_cycles=int(rng.integers(2, 6))),
-        ]
-        batch = NoCSimulator(topology).evaluate_batch(
-            UniformRandomTraffic(topology, injection_rate=rate, seed=seed),
-            configs, n_cycles=n_cycles,
+        gpu_spec = default_integrated_gpu()
+        trace = random_frame_trace(rng, gpu_spec, seed)
+        config = random_gpu_configuration(rng, gpu_spec)
+        gpu = GPUSimulator(gpu_spec, seed=seed)
+        summary = gpu.run_fixed(trace, config, deterministic=True)
+        for result in summary.frame_results:
+            # A frame lasts at least one vsync period and at least its
+            # busy time, and misses the deadline only by overrunning it.
+            assert result.frame_time_s == max(result.busy_time_s,
+                                              trace.deadline_s)
+            assert result.met_deadline == (
+                result.busy_time_s <= trace.deadline_s + 1e-9)
+            for energy in (result.gpu_energy_j, result.dram_energy_j,
+                           result.cpu_energy_j):
+                assert np.isfinite(energy) and energy >= 0.0
+            assert result.gpu_energy_j > 0.0
+        frames = summary.frame_results
+        assert summary.gpu_energy_j == pytest.approx(
+            sum(r.gpu_energy_j for r in frames))
+        assert summary.package_dram_energy_j == pytest.approx(
+            sum(r.gpu_energy_j + r.cpu_energy_j + r.dram_energy_j
+                for r in frames))
+        assert summary.total_time_s == pytest.approx(
+            sum(r.frame_time_s for r in frames))
+        assert summary.achieved_fps == pytest.approx(
+            len(frames) / summary.total_time_s)
+        assert summary.deadline_miss_rate == pytest.approx(
+            sum(not r.met_deadline for r in frames) / len(frames))
+        # A faster operating point never lengthens a frame's busy time.
+        slowest, fastest = (
+            GPUConfiguration(opp_index=i, active_slices=config.active_slices)
+            for i in (0, len(gpu_spec.opps) - 1)
         )
-        for config, result in zip(configs, batch):
-            traffic = UniformRandomTraffic(topology, injection_rate=rate,
-                                           seed=seed)
-            reference = NoCSimulator(topology, config).run_packets(
-                traffic.generate(n_cycles), n_cycles
-            )
-            assert (
-                [(p.packet_id, p.ejection_cycle) for p in result.delivered_packets]
-                == [(p.packet_id, p.ejection_cycle)
-                    for p in reference.delivered_packets]
-            )
+        for frame in trace.frames:
+            assert (gpu.render_frame(frame, fastest, trace.deadline_s,
+                                     deterministic=True).busy_time_s
+                    <= gpu.render_frame(frame, slowest, trace.deadline_s,
+                                        deterministic=True).busy_time_s)
+
+
+def random_traffic(rng: np.random.Generator, seed: int):
+    """(topology, zero-argument traffic factory) for a random mesh/pattern."""
+    width = int(rng.integers(2, 5))
+    topology = MeshTopology(width, width)
+    rate = float(rng.uniform(0.02, 0.12))
+    size = int(rng.integers(1, 9))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return topology, lambda: UniformRandomTraffic(
+            topology, rate, packet_size_flits=size, seed=seed)
+    if kind == 1:
+        return topology, lambda: TransposeTraffic(
+            topology, rate, packet_size_flits=size, seed=seed)
+    hotspot = int(rng.integers(0, topology.n_nodes))
+    return topology, lambda: HotspotTraffic(
+        topology, rate, hotspot_node=hotspot, packet_size_flits=size,
+        seed=seed)
+
+
+def random_router(rng: np.random.Generator) -> RouterConfig:
+    return RouterConfig(router_delay_cycles=int(rng.integers(1, 6)),
+                        flits_per_cycle=int(rng.integers(1, 3)))
+
+
+@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
+class TestNoCInvariants:
+    def test_run_matches_run_packets_replay(self, seed):
+        rng = np.random.default_rng(seed)
+        topology, make_traffic = random_traffic(rng, seed)
+        router = random_router(rng)
+        n_cycles = int(rng.integers(40, 160))
+        result = NoCSimulator(topology, router).run(make_traffic(), n_cycles)
+        # The same seed regenerates the identical packet list.
+        reference = NoCSimulator(topology, router).run_packets(
+            make_traffic().generate(n_cycles), n_cycles)
+        assert result.undelivered_count == reference.undelivered_count
+        assert result.simulated_cycles == reference.simulated_cycles
+        assert (
+            [(p.packet_id, p.injection_cycle, p.ejection_cycle, p.hops)
+             for p in result.delivered_packets]
+            == [(p.packet_id, p.injection_cycle, p.ejection_cycle, p.hops)
+                for p in reference.delivered_packets]
+        )
+
+    def test_drained_packets_are_conserved_and_routed(self, seed):
+        rng = np.random.default_rng(seed)
+        topology, make_traffic = random_traffic(rng, seed)
+        simulator = NoCSimulator(topology, random_router(rng))
+        n_cycles = int(rng.integers(40, 160))
+        packets = make_traffic().generate(n_cycles)
+        result = simulator.run_packets(packets, n_cycles)
+        assert result.undelivered_count == 0
+        assert sorted(p.packet_id for p in result.delivered_packets) == [
+            p.packet_id for p in packets]
+        for packet in result.delivered_packets:
+            assert packet.route[0] == packet.source
+            assert packet.route[-1] == packet.destination
+            assert packet.hops == topology.hop_count(packet.source,
+                                                     packet.destination)
+            # Queueing only ever adds delay to the unloaded route latency.
+            assert packet.latency_cycles >= simulator.zero_load_latency(
+                packet.source, packet.destination, packet.size_flits)
+
+    def test_undrained_run_stops_at_horizon(self, seed):
+        rng = np.random.default_rng(seed)
+        topology, make_traffic = random_traffic(rng, seed)
+        simulator = NoCSimulator(topology, random_router(rng))
+        n_cycles = int(rng.integers(20, 80))
+        packets = make_traffic().generate(n_cycles)
+        result = simulator.run_packets(packets, n_cycles, drain=False)
+        assert result.simulated_cycles == n_cycles
+        assert result.n_delivered + result.undelivered_count == len(packets)
+        assert all(p.ejection_cycle <= n_cycles
+                   for p in result.delivered_packets)
 
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)

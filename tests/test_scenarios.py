@@ -286,11 +286,12 @@ class TestSpaceRestriction:
                 if config.opp_index(cluster) <= 1:
                     assert clamped.opp_index(cluster) == config.opp_index(cluster)
 
-    def test_restricted_cache_key_differs(self, space):
+    def test_restricted_content_key_differs(self, space):
         restricted = space.restrict(max_opp_index=1)
-        assert restricted.cache_key() != space.cache_key()
+        assert restricted.content_key() != space.content_key()
         # A non-binding restriction is the same space and shares the key.
-        assert space.restrict(max_opp_index=10**6).cache_key() == space.cache_key()
+        assert (space.restrict(max_opp_index=10**6).content_key()
+                == space.content_key())
 
     def test_oracle_cache_never_reuses_full_space_entries(
             self, simulator, space, compute_snippet):

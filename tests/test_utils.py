@@ -1,8 +1,13 @@
-"""Tests for repro.utils (rng, records, tables)."""
+"""Tests for repro.utils (rng, records, tables) and the package exports."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+import repro
 
 from repro.utils.records import RunLog, RunRecord, as_float_dict, merge_logs
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
@@ -123,3 +128,28 @@ class TestTables:
     def test_format_table_string_cells(self):
         text = format_table(["name", "v"], [["hello", 1]])
         assert "hello" in text
+
+
+#: Every ``repro`` package that declares its public names in ``__all__``.
+EXPORTING_PACKAGES = [
+    name for name in ["repro"] + sorted(
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if info.ispkg
+    )
+    if hasattr(importlib.import_module(name), "__all__")
+]
+
+
+class TestPackageExports:
+    def test_packages_found(self):
+        assert "repro" in EXPORTING_PACKAGES
+        assert "repro.core" in EXPORTING_PACKAGES
+
+    @pytest.mark.parametrize("name", EXPORTING_PACKAGES)
+    def test_all_names_resolve_without_duplicates(self, name):
+        module = importlib.import_module(name)
+        exported = list(module.__all__)
+        assert len(exported) == len(set(exported)), exported
+        missing = [attr for attr in exported if not hasattr(module, attr)]
+        assert not missing, missing
