@@ -170,8 +170,8 @@ def run_fault_tolerance(
     ``n_shards`` accelerates the *fault-free* cells only: a cell whose
     plan injects nothing is, by the supervisor's documented zero-fault
     identity, bitwise equal to a bare engine run — so it can route
-    through the :class:`~repro.fleet.sharding.ShardedFleetEngine` worker
-    pool with synthesized all-healthy outcomes.  Cells with injected
+    through the :class:`~repro.fleet.sharding.ShardedFleetEngine` shard
+    processes with synthesized all-healthy outcomes.  Cells with injected
     faults need the supervisor's step-by-step intervention machinery and
     stay single-process.
     """

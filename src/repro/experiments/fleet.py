@@ -158,11 +158,11 @@ def run_fleet(
     every registered scenario).
 
     ``n_shards`` routes the rollout through the
-    :class:`~repro.fleet.sharding.ShardedFleetEngine` worker pool instead
-    of the in-process engine.  Every per-device report value is bitwise
-    identical either way (and invariant to the shard count); only the
-    batching-fraction metadata may differ, because batch-group membership
-    is evaluated per shard.
+    :class:`~repro.fleet.sharding.ShardedFleetEngine` (one child process
+    per shard) instead of the in-process engine.  Every per-device report
+    value is bitwise identical either way (and invariant to the shard
+    count); only the batching-fraction metadata may differ, because
+    batch-group membership is evaluated per shard.
     """
     scale = get_scale(scale)
     n = int(n_devices) if n_devices is not None else DEFAULT_FLEET_DEVICES

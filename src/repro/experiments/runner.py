@@ -790,7 +790,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N", dest="shards",
-        help="run fleet experiments through the sharded worker-pool engine "
+        help="run fleet experiments through the sharded engine "
              "with N process shards (default: single-process; per-device "
              "results are bitwise identical either way)",
     )

@@ -22,9 +22,9 @@ Public surface:
   machine, flatline watchdog, quarantine and snapshot-restart recovery
   layered over the engine without disturbing its bitwise contract.
 * :class:`~repro.fleet.sharding.ShardedFleetEngine` — partition the
-  device list across a persistent worker-process pool (step tensors via
-  shared memory, O(devices) streamed summaries), bitwise identical to
-  the single-process engine and invariant to the shard count.
+  device list across one forked child process per shard (O(devices)
+  streamed summaries), bitwise identical to the single-process engine
+  and invariant to the shard count.
 """
 
 from repro.fleet.device import (

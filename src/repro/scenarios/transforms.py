@@ -37,6 +37,7 @@ from repro.scenarios.base import (
     scenario_from_dict,
 )
 from repro.soc.snippet import Snippet, SnippetCharacteristics
+from repro.workloads.generator import sample_characteristics
 
 
 def _clip(value: float, low: float, high: float) -> float:
@@ -111,6 +112,15 @@ class ConcurrentMix(ScenarioSpec):
         )
 
 
+#: Mean characteristics of a BurstyIdle gap snippet: tiny, memory-light and
+#: LITTLE-leaning, like OS housekeeping between arrivals.
+_IDLE_CHARACTERISTICS = SnippetCharacteristics(
+    memory_intensity=0.3, memory_access_rate=0.10, external_request_rate=0.30,
+    branch_misprediction_mpki=1.0, ilp_factor=0.6, parallel_fraction=0.0,
+    thread_count=1, big_fraction=0.1,
+)
+
+
 @dataclass(frozen=True)
 class BurstyIdle(ScenarioSpec):
     """Bursts of real work separated by near-idle gaps.
@@ -131,30 +141,6 @@ class BurstyIdle(ScenarioSpec):
     idle_jitter: float = 0.10
     idle_instruction_fraction: float = 0.25
 
-    def _idle_snippet(self, index: int, n_instructions: float,
-                      rng: np.random.Generator) -> Snippet:
-        def wobble(value: float) -> float:
-            if self.idle_jitter == 0.0:
-                return value
-            return value * float(np.exp(rng.normal(0.0, self.idle_jitter)))
-
-        characteristics = SnippetCharacteristics(
-            memory_intensity=max(0.0, wobble(0.3)),
-            memory_access_rate=_clip(wobble(0.10), 0.0, 1.0),
-            external_request_rate=_clip(wobble(0.30), 0.0, 1.0),
-            branch_misprediction_mpki=max(0.0, wobble(1.0)),
-            ilp_factor=_clip(wobble(0.6), 0.05, 1.0),
-            parallel_fraction=0.0,
-            thread_count=1,
-            big_fraction=0.1,
-        )
-        return Snippet(
-            application="idle",
-            index=index,
-            n_instructions=n_instructions,
-            characteristics=characteristics,
-        )
-
     def _transform(self, snippets: Tuple[Snippet, ...],
                    rng: np.random.Generator) -> ScenarioTrace:
         if self.burst < 1:
@@ -171,9 +157,15 @@ class BurstyIdle(ScenarioSpec):
         for position, snippet in enumerate(snippets, start=1):
             out.append(snippet)
             if position % self.burst == 0 and position < len(snippets):
-                for _ in range(self.idle_gap):
-                    out.append(self._idle_snippet(idle_index,
-                                                  idle_instructions, rng))
+                for characteristics in sample_characteristics(
+                        _IDLE_CHARACTERISTICS, self.idle_jitter,
+                        self.idle_gap, rng):
+                    out.append(Snippet(
+                        application="idle",
+                        index=idle_index,
+                        n_instructions=idle_instructions,
+                        characteristics=characteristics,
+                    ))
                     idle_index += 1
         return ScenarioTrace(out)
 

@@ -320,7 +320,7 @@ class TestIdentityKeyLint:
     """No id()-derived values anywhere near fleet grouping or maps.
 
     ``id()`` keys are process-local and reusable after garbage collection:
-    they cannot cross a pickling boundary to a shard worker, and within a
+    they cannot cross a pickling boundary to a shard process, and within a
     process a recycled address silently aliases two objects into one
     group.  Every module participating in fleet grouping, batching or
     cross-process transport is scanned token-wise (comments and strings
@@ -396,13 +396,13 @@ class TestShardedExperiment:
 
 
 class TestResourceHygiene:
-    """Worker-pool and shared-memory teardown on every failure path.
+    """Shard-child lifecycle on every path.
 
-    A prepared-but-never-executed engine leaves its workers blocked
-    waiting for ``go``; an exception mid-prepare/execute leaves undrained
-    pipe messages; a parent that dies with a mapped block would strand a
-    ``/dev/shm`` segment.  These tests pin that close()/error paths
-    retire poisoned workers and that the atexit sweep unlinks leftovers.
+    Children of a prepared engine wait for ``go``; an exception or an
+    interrupt mid-prepare/execute leaves children building or stepping.
+    These tests pin that every such path kills and joins the engine's
+    children, that a failing child surfaces its own traceback, and that
+    engines run back to back are independent of each other.
     """
 
     def _devices(self, space, n=4):
@@ -413,90 +413,198 @@ class TestResourceHygiene:
             for i in range(n)
         ]
 
-    def test_close_retires_prepared_workers_and_pool_recovers(
-            self, platform, space):
+    def _engine(self, platform, space, **kwargs):
+        simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
+        return ShardedFleetEngine(self._devices(space), simulator, space,
+                                  n_shards=2, **kwargs)
+
+    @staticmethod
+    def _assert_reaped(processes):
         import repro.fleet.sharding as sharding
 
-        simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
-        engine = ShardedFleetEngine(self._devices(space), simulator, space,
-                                    n_shards=2)
+        assert processes
+        assert not sharding._RUNNING
+        for process in processes:
+            assert not process.is_alive()
+            assert process.exitcode is not None  # joined, not a zombie
+
+    def _record_processes(self, monkeypatch):
+        import repro.fleet.sharding as sharding
+
+        started = []
+        original = sharding._Shard.__init__
+
+        def recording_init(shard, args):
+            original(shard, args)
+            started.append(shard.process)
+
+        monkeypatch.setattr(sharding._Shard, "__init__", recording_init)
+        return started
+
+    def test_close_reaps_prepared_children(self, platform, space):
+        engine = self._engine(platform, space)
         engine.prepare()
-        assert engine._workers is not None
+        processes = [shard.process for shard in engine._shards]
+        assert all(process.is_alive() for process in processes)
         engine.close()
-        assert engine._workers is None
-        assert engine._shared == []
-        # The blocked workers were retired, not recycled: a fresh engine
-        # must run cleanly on newly spawned workers.
-        summaries = ShardedFleetEngine(self._devices(space), simulator,
-                                       space, n_shards=2).run()
-        assert len(summaries) == 4
-        assert all(s.steps > 0 for s in summaries)
-        sharding.shutdown_workers()
+        assert engine._shards is None
+        self._assert_reaped(processes)
+        engine.close()  # idempotent
+        with pytest.raises(RuntimeError, match="prepare"):
+            engine.execute()
 
     def test_context_manager_closes(self, platform, space):
-        simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
-        with ShardedFleetEngine(self._devices(space), simulator, space,
-                                n_shards=2) as engine:
+        with self._engine(platform, space) as engine:
             engine.prepare()
-        assert engine._workers is None
+            processes = [shard.process for shard in engine._shards]
+        assert engine._shards is None
+        self._assert_reaped(processes)
 
-    def test_interrupt_mid_prepare_releases_everything(self, platform,
-                                                       space, monkeypatch):
-        """A simulated parent failure (KeyboardInterrupt between shard
-        shipments) must leave no mapped segment and no poisoned worker."""
+    def test_interrupt_mid_prepare_leaves_no_live_child(
+            self, platform, space, monkeypatch):
+        """A KeyboardInterrupt while the shards are still building (the
+        parent waiting for their first ``ready``) kills and joins every
+        child the engine started."""
         import repro.fleet.sharding as sharding
 
-        simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
-        engine = ShardedFleetEngine(self._devices(space), simulator, space,
-                                    n_shards=2)
-        original = ShardedFleetEngine._ship_shard
-        shipped = []
+        started = self._record_processes(monkeypatch)
 
-        def failing_ship(self, worker, lo, hi):
-            original(self, worker, lo, hi)
-            shipped.append((lo, hi))
-            if len(shipped) == 2:
-                raise KeyboardInterrupt
+        def interrupted_receive(shard, phase):
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(ShardedFleetEngine, "_ship_shard", failing_ship)
+        monkeypatch.setattr(sharding._Shard, "receive", interrupted_receive)
+        engine = self._engine(platform, space)
         with pytest.raises(KeyboardInterrupt):
             engine.prepare()
-        assert engine._shared == []
-        assert not sharding._LIVE_SHARED
-        assert not sharding._POOL  # the involved workers were retired
+        assert engine._shards is None
+        assert len(started) == 2
+        self._assert_reaped(started)
         monkeypatch.undo()
-        # The pool re-spawns and serves a clean run afterwards.
-        summaries = ShardedFleetEngine(self._devices(space), simulator,
-                                       space, n_shards=2).run()
+        summaries = self._engine(platform, space).run()
         assert len(summaries) == 4
-        sharding.shutdown_workers()
 
-    def test_parent_death_leaves_no_stale_shm_segment(self):
-        """A block still mapped when the interpreter exits (the parent
-        'failed' before its unlink) is swept by the atexit teardown."""
+    @pytest.mark.parametrize("phase,target", [
+        ("preparation", "_prepare_shard"),
+        ("execution", "_run_shard"),
+    ])
+    def test_child_error_surfaces_with_traceback(
+            self, platform, space, monkeypatch, phase, target):
+        import repro.fleet.sharding as sharding
+
+        started = self._record_processes(monkeypatch)
+
+        def failing(*args):
+            raise RuntimeError("boom inside the shard")
+
+        # Forked children inherit the patched module attribute.
+        monkeypatch.setattr(sharding, target, failing)
+        engine = self._engine(platform, space)
+        with pytest.raises(sharding.ShardExecutionError) as info:
+            engine.run()
+        message = str(info.value)
+        assert f"shard {phase} failed" in message
+        assert "Traceback (most recent call last)" in message
+        assert "RuntimeError: boom inside the shard" in message
+        assert engine._shards is None
+        self._assert_reaped(started)
+
+    def test_back_to_back_engines_identical(self, platform, space):
+        from dataclasses import asdict
+
+        import repro.fleet.sharding as sharding
+
+        first = self._engine(platform, space).run()
+        second = self._engine(platform, space).run()
+        # assert_equal treats NaN (no oracle: final_accuracy) as equal.
+        np.testing.assert_equal([asdict(s) for s in first],
+                                [asdict(s) for s in second])
+        assert not sharding._RUNNING
+
+    def test_shutdown_workers_reaps_unclosed_engine(self, platform, space):
+        import repro.fleet.sharding as sharding
+        from repro.fleet import shutdown_workers
+
+        engine = self._engine(platform, space)
+        engine.prepare()
+        processes = [shard.process for shard in engine._shards]
+        shutdown_workers()
+        self._assert_reaped(processes)
+        shutdown_workers()  # idempotent
+        engine.close()
+        assert not sharding._RUNNING
+
+    def test_parent_exit_leaves_no_shard_child(self):
+        """An interpreter that exits with a prepared, unclosed engine
+        takes its (daemon) shard children with it."""
+        import json
+        import os
         import subprocess
         import sys
 
         script = (
             "import json, sys\n"
-            "import repro.fleet.sharding as sharding\n"
-            "from multiprocessing import shared_memory\n"
-            "block = shared_memory.SharedMemory(create=True, size=1024)\n"
-            "sharding._LIVE_SHARED.append(block)\n"
-            "print(json.dumps({'name': block.name}))\n"
+            "from repro.control.policy import GovernorPolicy\n"
+            "from repro.fleet import DeviceSpec, ShardedFleetEngine\n"
+            "from repro.soc.configuration import ConfigurationSpace\n"
+            "from repro.soc.governors import OndemandGovernor\n"
+            "from repro.soc.platform import odroid_xu3_like\n"
+            "from repro.soc.simulator import SoCSimulator\n"
+            "from repro.workloads.generator import SnippetTraceGenerator\n"
+            "from repro.workloads.suites import training_workloads\n"
+            "platform = odroid_xu3_like()\n"
+            "space = ConfigurationSpace(platform)\n"
+            "spec = training_workloads()[0].scaled(0.2)\n"
+            "devices = [DeviceSpec(name=f'dev{i}', seed=i,\n"
+            "    policy=GovernorPolicy(OndemandGovernor(space)),\n"
+            "    snippets=SnippetTraceGenerator(seed=i).generate(spec))\n"
+            "    for i in range(4)]\n"
+            "engine = ShardedFleetEngine(devices,\n"
+            "    SoCSimulator(platform, noise_scale=0.02, seed=0), space)\n"
+            "engine.prepare()\n"
+            "print(json.dumps([s.process.pid for s in engine._shards]))\n"
             "sys.stdout.flush()\n"
-            # exit WITHOUT unlinking: only the atexit sweep stands between
-            # this mapping and a stale /dev/shm segment.
+            "keep = engine\n"
         )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=120,
+            timeout=120, env=env,
         )
         assert result.returncode == 0, result.stderr
-        name = __import__("json").loads(result.stdout)["name"]
-        from multiprocessing import shared_memory as shm
+        for pid in json.loads(result.stdout):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
-        with pytest.raises(FileNotFoundError):
-            shm.SharedMemory(name=name)
-        # No resource-tracker leak warnings either.
-        assert "leaked shared_memory" not in result.stderr
+
+class TestPickledShardPayload:
+    """Platforms without fork pickle the shard arguments: a ``spawn``
+    context must reproduce the in-process engine bitwise."""
+
+    def test_spawn_matches_in_process_engine(self, platform, space,
+                                             monkeypatch):
+        import multiprocessing
+
+        import repro.fleet.sharding as sharding
+
+        def devices():
+            return [
+                DeviceSpec(name=f"dev-{i}",
+                           policy=GovernorPolicy(GOVERNORS[i % 4](space)),
+                           snippets=make_trace(i, factor=0.2), seed=400 + i)
+                for i in range(4)
+            ]
+
+        reference = build_fleet(
+            devices(), SoCSimulator(platform, noise_scale=0.02, seed=0),
+            space,
+        ).run()
+        monkeypatch.setattr(sharding, "_MP",
+                            multiprocessing.get_context("spawn"))
+        summaries = ShardedFleetEngine(
+            devices(), SoCSimulator(platform, noise_scale=0.02, seed=0),
+            space, n_shards=2, collect="logs",
+        ).run()
+        assert_logs_bitwise_equal(reference, summaries)
+        assert not sharding._RUNNING

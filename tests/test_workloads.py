@@ -21,8 +21,13 @@ from repro.workloads import (
     table2_workloads,
     workloads_by_suite,
 )
+from repro.scenarios import BurstyIdle
 from repro.workloads.spec import single_phase_workload
 from repro.workloads.suites import training_workloads, unseen_workloads
+from reference.trace_generator import (
+    ScalarTraceGenerator,
+    bursty_idle_transform,
+)
 
 
 class TestWorkloadSpec:
@@ -113,6 +118,71 @@ class TestTraceGenerator:
             assert 0.0 <= chars.memory_access_rate <= 1.0
             assert chars.memory_intensity >= 0.0
             assert 0.0 < chars.ilp_factor <= 1.0
+
+
+class TestPhaseSampling:
+    """The phase-at-a-time generator == the snippet-by-snippet reference.
+
+    Equal characteristics *and* an equal final generator state: the next
+    consumer of a shared stream (the next application of a sequence, a
+    scenario transform) must see exactly the draws it saw before.
+    """
+
+    SEEDS = range(8)
+    FACTORS = (0.5, 1.0, 2.0)
+
+    @staticmethod
+    def _assert_same(trace, reference):
+        assert len(trace) == len(reference)
+        for snippet, expected in zip(trace, reference):
+            assert snippet == expected, snippet.name
+
+    @pytest.mark.parametrize("name", sorted(ALL_CPU_APPS))
+    def test_every_suite_spec_matches_reference(self, name):
+        for seed in self.SEEDS:
+            for factor in self.FACTORS:
+                spec = ALL_CPU_APPS[name].scaled(factor)
+                rng = np.random.default_rng(seed)
+                expected_rng = np.random.default_rng(seed)
+                trace = SnippetTraceGenerator().generate(spec, rng=rng)
+                reference = ScalarTraceGenerator().generate(spec,
+                                                            expected_rng)
+                self._assert_same(trace, reference)
+                assert (rng.bit_generator.state
+                        == expected_rng.bit_generator.state)
+
+    def test_zero_jitter_draws_nothing(self):
+        spec = single_phase_workload(
+            "steady", "test",
+            SnippetCharacteristics(memory_intensity=3, ilp_factor=1,
+                                   memory_access_rate=0.4),
+            n_snippets=6, jitter=0.0,
+        )
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        trace = SnippetTraceGenerator().generate(spec, rng=rng)
+        assert rng.bit_generator.state == before
+        reference = ScalarTraceGenerator().generate(
+            spec, np.random.default_rng(3))
+        self._assert_same(trace, reference)
+        assert [type(s.characteristics.memory_intensity) for s in trace] == [
+            type(s.characteristics.memory_intensity) for s in reference
+        ]
+
+    @pytest.mark.parametrize("idle_jitter", [0.0, 0.10, 0.4])
+    def test_bursty_idle_matches_reference(self, idle_jitter):
+        scenario = BurstyIdle(burst=4, idle_gap=3, idle_jitter=idle_jitter)
+        for seed in self.SEEDS:
+            snippets = tuple(SnippetTraceGenerator(seed=seed).generate(
+                ALL_CPU_APPS["fft"].scaled(0.5)))
+            rng = np.random.default_rng(100 + seed)
+            expected_rng = np.random.default_rng(100 + seed)
+            trace = scenario._transform(snippets, rng)
+            reference = bursty_idle_transform(scenario, snippets,
+                                              expected_rng)
+            self._assert_same(trace.snippets, reference.snippets)
+            assert (rng.bit_generator.state
+                    == expected_rng.bit_generator.state)
 
 
 class TestSuites:
