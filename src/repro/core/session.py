@@ -48,7 +48,7 @@ from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.energy import EnergyAccount
 from repro.soc.simulator import SnippetResult, SoCSimulator
-from repro.soc.snippet import Snippet
+from repro.soc.snippet import Snippet, SnippetTrace
 from repro.utils.records import RunLog, RunRecord
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
@@ -103,7 +103,10 @@ class PolicySession:
     The constructor mirrors :func:`~repro.core.framework
     .run_policy_on_snippets` argument for argument; driving the session to
     completion with :meth:`run` is bitwise equivalent to the original
-    closed loop.  ``rng`` is the measurement-noise stream handed to the
+    closed loop.  ``snippets`` is kept as a
+    :class:`~repro.soc.snippet.SnippetTrace` (a plain snippet sequence is
+    wrapped into one, keeping its objects), so a step builds only the
+    snippet it reads.  ``rng`` is the measurement-noise stream handed to the
     simulator for every executed snippet; sessions that will be advanced
     in lockstep by a fleet driver must each own an independent generator
     (a shared stream would interleave differently than sequential runs).
@@ -125,7 +128,7 @@ class PolicySession:
         self.simulator = simulator
         self.space = space
         self.policy = policy
-        self.snippets: List[Snippet] = list(snippets)
+        self.snippets = SnippetTrace.from_snippets(snippets)
         self._trace_len = len(self.snippets)
         self.oracle_table = oracle_table
         self.rng = rng
@@ -481,6 +484,10 @@ class PolicySession:
         session's ``.space`` (e.g. ``make_space_schedule(session.space,
         trace)``) — a schedule closed over the original space object would
         make every step compare as throttled against the unpickled space.
+        Snapshots whose ``snippets`` is a plain ``list`` of snippets (the
+        layout before traces were held as arrays) restore the same way: the
+        list is wrapped, keeping its objects, so the pending step's snippet
+        is still ``snippets[pending.index]``.
         """
         if isinstance(state, (bytes, bytearray)):
             state = cls.unpack_snapshot(bytes(state))

@@ -30,13 +30,10 @@ from repro.control.policy import GovernorPolicy
 from repro.experiments.common import build_trained_framework
 from repro.experiments.scales import ExperimentScale, get_scale
 from repro.fleet import (DeviceSpec, FaultPlan, FleetSupervisor,
-                         ShardedFleetEngine)
-from repro.scenarios import get_scenario
+                         ShardedFleetEngine, device_trace)
 from repro.scenarios.runtime import build_scenario_oracle
 from repro.soc.governors import OndemandGovernor
 from repro.utils.rng import SeedLike, derive_seed, make_rng, stable_name_id
-from repro.workloads.sequences import build_online_sequence
-from repro.workloads.suites import unseen_workloads
 
 #: Devices simulated when ``--devices`` is not given.
 DEFAULT_FT_DEVICES = 4
@@ -189,34 +186,26 @@ def run_fault_tolerance(
     # Per-device inputs, fixed across every fault-rate cell.
     blueprints = []
     for i in range(n):
-        trace_seed = derive_seed(seed, (_FT_STREAM, 0, i))
-        sequence = build_online_sequence(
-            specs=unseen_workloads(),
-            snippet_factor=scale.sequence_snippet_factor,
-            seed=trace_seed,
-        )
         scenario_name = _THROTTLE_SCENARIO if (i // 2) % 2 else ""
-        if scenario_name:
-            scenario = get_scenario(scenario_name).apply(
-                sequence.snippets, derive_seed(seed, (_FT_STREAM, 2, i))
-            )
+        trace = device_trace(seed, _FT_STREAM, i,
+                             scale.sequence_snippet_factor,
+                             scenario_name or None)
+        scenario = trace if scenario_name else None
+        if scenario is not None:
             oracle = build_scenario_oracle(
                 simulator, space, scenario, framework.objective,
                 cache=framework.oracle_cache,
             )
-            snippets: Sequence = scenario.snippets
         else:
-            scenario = None
-            oracle = framework.build_oracle_for(sequence.snippets)
-            snippets = sequence.snippets
+            oracle = framework.build_oracle_for(trace)
         blueprints.append({
             "name": f"device-{i:02d}",
             "index": i,
             "scenario_name": scenario_name,
             "scenario": scenario,
-            "snippets": sequence.snippets,
+            "snippets": trace,
             "oracle": oracle,
-            "steps": len(snippets),
+            "steps": len(trace),
         })
     names = [blueprint["name"] for blueprint in blueprints]
     horizon = min(blueprint["steps"] for blueprint in blueprints)

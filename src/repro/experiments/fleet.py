@@ -28,12 +28,11 @@ import numpy as np
 
 from repro.experiments.common import build_trained_framework
 from repro.experiments.scales import ExperimentScale, get_scale
-from repro.fleet import DeviceSpec, ShardedFleetEngine, build_fleet
-from repro.scenarios import available_scenarios, get_scenario
+from repro.fleet import (DeviceSpec, ShardedFleetEngine, build_fleet,
+                         device_trace)
+from repro.scenarios import available_scenarios
 from repro.scenarios.runtime import build_scenario_oracle
 from repro.utils.rng import SeedLike, derive_seed, make_rng, stable_name_id
-from repro.workloads.sequences import build_online_sequence
-from repro.workloads.suites import unseen_workloads
 
 #: Devices simulated when ``--devices`` is not given.
 DEFAULT_FLEET_DEVICES = 6
@@ -177,32 +176,25 @@ def run_fleet(
     devices: List[DeviceSpec] = []
     scenario_of: Dict[str, str] = {}
     for i in range(n):
-        trace_seed = derive_seed(seed, (_FLEET_STREAM, 0, i))
-        sequence = build_online_sequence(
-            specs=unseen_workloads(),
-            snippet_factor=scale.sequence_snippet_factor,
-            seed=trace_seed,
-        )
+        name = f"device-{i:02d}"
+        scenario_name = rotation[i % len(rotation)]
+        trace = device_trace(seed, _FLEET_STREAM, i,
+                             scale.sequence_snippet_factor, scenario_name)
         policy = framework.build_online_il_policy(
             buffer_capacity=scale.buffer_capacity,
             update_epochs=scale.update_epochs,
             isolated=True,
         )
         noise_rng = make_rng(derive_seed(seed, (_FLEET_STREAM, 1, i)))
-        name = f"device-{i:02d}"
-        scenario_name = rotation[i % len(rotation)]
         if scenario_name is None:
             scenario_of[name] = ""
-            oracle = framework.build_oracle_for(sequence.snippets)
+            oracle = framework.build_oracle_for(trace)
             devices.append(DeviceSpec(
-                name=name, policy=policy, snippets=sequence.snippets,
+                name=name, policy=policy, snippets=trace,
                 rng=noise_rng, oracle_table=oracle,
             ))
         else:
             scenario_of[name] = scenario_name
-            trace = get_scenario(scenario_name).apply(
-                sequence.snippets, derive_seed(seed, (_FLEET_STREAM, 2, i))
-            )
             oracle = build_scenario_oracle(
                 simulator, space, trace, framework.objective,
                 cache=framework.oracle_cache,

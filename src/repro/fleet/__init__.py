@@ -3,7 +3,9 @@
 Public surface:
 
 * :class:`~repro.fleet.device.DeviceSpec` — one device's policy, trace,
-  seed, and optional scenario / restricted space.
+  seed, and optional scenario / restricted space;
+  :func:`~repro.fleet.device.device_trace` lowers a device's seeded
+  online sequence and scenario.
 * :func:`~repro.fleet.device.build_fleet` /
   :func:`~repro.fleet.device.device_session` — lower device specs onto
   sessions and a ready engine (warning about RNG hazards via
@@ -11,8 +13,7 @@ Public surface:
 * :class:`~repro.fleet.engine.FleetEngine` — advance N sessions in
   lockstep with cross-session batched decides and executions, bitwise
   identical to N independent sequential runs.
-* :func:`~repro.fleet.kernels.lockstep_execute` /
-  :class:`~repro.fleet.kernels.TraceArrays` — the vectorized
+* :func:`~repro.fleet.kernels.lockstep_execute` — the vectorized
   many-device execution kernel.
 * :class:`~repro.fleet.faults.FaultPlan` and the
   :class:`~repro.fleet.faults.FaultSpec` family — deterministic,
@@ -32,6 +33,7 @@ from repro.fleet.device import (
     FleetBuildWarning,
     build_fleet,
     device_session,
+    device_trace,
 )
 from repro.fleet.engine import FleetEngine
 from repro.fleet.faults import (
@@ -45,7 +47,7 @@ from repro.fleet.faults import (
     TelemetryCorruption,
     fault_from_dict,
 )
-from repro.fleet.kernels import TraceArrays, lockstep_execute
+from repro.fleet.kernels import lockstep_execute
 from repro.fleet.sharding import (
     ShardDeviceSummary,
     ShardedFleetEngine,
@@ -78,9 +80,9 @@ __all__ = [
     "SnapshotRestart",
     "StragglerStall",
     "TelemetryCorruption",
-    "TraceArrays",
     "build_fleet",
     "device_session",
+    "device_trace",
     "fault_from_dict",
     "lockstep_execute",
     "shutdown_workers",

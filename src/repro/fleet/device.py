@@ -5,7 +5,8 @@ a fleet: its name, its policy instance (with whatever learned state it
 carries), its snippet trace *or* scenario trace, its own seed (or
 generator) for measurement noise, an optional per-device restricted
 configuration space, and an optional Oracle table for accuracy/energy
-normalisation.  :func:`device_session` lowers a spec onto a
+normalisation.  :func:`device_trace` lowers a device's seeded online
+sequence (and scenario); :func:`device_session` lowers a spec onto a
 :class:`~repro.core.session.PolicySession`; :func:`build_fleet` lowers a
 whole device list onto a ready :class:`~repro.fleet.engine.FleetEngine`.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,11 +29,13 @@ from repro.control.policy import DRMPolicy
 from repro.core.oracle import OracleTable
 from repro.core.session import PolicySession
 from repro.fleet.engine import FleetEngine
-from repro.scenarios.base import ScenarioTrace
+from repro.scenarios.base import ScenarioTrace, get_scenario
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.simulator import SoCSimulator
-from repro.soc.snippet import Snippet
-from repro.utils.rng import SeedLike, make_rng
+from repro.soc.snippet import Snippet, SnippetTrace
+from repro.utils.rng import SeedLike, derive_seed, make_rng
+from repro.workloads.sequences import build_online_sequence
+from repro.workloads.suites import unseen_workloads
 
 
 class FleetBuildWarning(UserWarning):
@@ -77,6 +80,33 @@ class DeviceSpec:
             )
         if self.scenario is None and len(self.snippets) == 0:
             raise ValueError(f"device {self.name!r} has no trace to run")
+
+
+def device_trace(
+    seed: SeedLike,
+    stream: int,
+    index: int,
+    snippet_factor: float,
+    scenario: Optional[str] = None,
+) -> Union[SnippetTrace, ScenarioTrace]:
+    """Trace of fleet device ``index`` under seed stream ``stream``.
+
+    The device's online sequence of unseen workloads is generated from
+    ``derive_seed(seed, (stream, 0, index))``; when ``scenario`` names a
+    registered scenario, it is applied with ``derive_seed(seed, (stream, 2,
+    index))`` and its :class:`~repro.scenarios.base.ScenarioTrace` is
+    returned instead of the sequence's snippet trace.  (Stream slot 1 is
+    left to the caller, for the device's measurement-noise generator.)
+    """
+    sequence = build_online_sequence(
+        specs=unseen_workloads(),
+        snippet_factor=snippet_factor,
+        seed=derive_seed(seed, (stream, 0, index)),
+    )
+    if scenario is None:
+        return sequence.snippets
+    return get_scenario(scenario).apply(
+        sequence.snippets, derive_seed(seed, (stream, 2, index)))
 
 
 def device_session(

@@ -25,10 +25,13 @@ engine exploits that freedom on two phases:
   :class:`~repro.soc.simulator.SoCSimulator` are executed through the
   cross-session vectorized kernel
   (:func:`~repro.fleet.kernels.lockstep_execute`).  Their
-  configuration-independent snippet characteristics and their pre-drawn
-  log-normal noise factors (consumed from each device's own generator in
-  the scalar draw order) live in fleet-wide padded tensors built once at
-  :meth:`prepare`, so the per-step inputs are two fancy-indexing gathers.
+  configuration-independent snippet characteristics (each session trace's
+  :attr:`~repro.soc.snippet.SnippetTrace.matrix`, read as is) and their
+  pre-drawn log-normal noise factors (consumed from each device's own
+  generator in the scalar draw order) live in fleet-wide padded tensors
+  built once at :meth:`prepare`, so the per-step inputs are two
+  fancy-indexing gathers.  No snippet object is built to fill them; a
+  step builds only the snippet it decides on.
   Sessions with exotic simulators (or shared/missing generators) fall
   back to scalar :meth:`~repro.core.session.PolicySession.execute`.
 
@@ -59,7 +62,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.session import PolicySession, SessionStep
-from repro.fleet.kernels import TraceArrays, lockstep_execute
+from repro.fleet.kernels import lockstep_execute
 from repro.soc.simulator import SnippetResult, SoCSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> core)
@@ -103,11 +106,10 @@ class _ExecGroup:
         self.active_rows = np.empty(0, dtype=np.intp)
         self.active_fleet_rows: List[int] = []
         t_max = max(len(session) for session in sessions)
-        traces = [TraceArrays(session.snippets) for session in sessions]
-        n_columns = traces[0].matrix.shape[1]
+        n_columns = sessions[0].snippets.matrix.shape[1]
         self.chars = np.zeros((len(sessions), t_max, n_columns))
-        for row, trace in enumerate(traces):
-            self.chars[row, :len(trace)] = trace.matrix
+        for row, session in enumerate(sessions):
+            self.chars[row, :len(session)] = session.snippets.matrix
         noise_scale = simulator.noise_scale
         if noise_scale == 0.0:
             self.noise: Optional[np.ndarray] = None

@@ -23,7 +23,8 @@ The difference from ``evaluate_expected_grid`` is the shape: that kernel
 sweeps *every snippet at every configuration* (Oracle construction);
 this one sweeps *many (snippet, configuration) pairs* — one per device —
 so snippet characteristics and configurations arrive as per-device rows
-(:class:`TraceArrays`) rather than as the two axes of a grid.
+(one row of each device's :attr:`~repro.soc.snippet.SnippetTrace.matrix`)
+rather than as the two axes of a grid.
 """
 
 from __future__ import annotations
@@ -35,25 +36,7 @@ import numpy as np
 from repro.soc.configuration import SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.simulator import SnippetResult, SoCSimulator
-from repro.soc.snippet import Snippet, trace_matrix
-
-
-class TraceArrays:
-    """Configuration-independent per-step arrays of one snippet trace.
-
-    Built once per device when a fleet adopts its session; the per-step
-    lockstep kernel then gathers one row per device instead of touching
-    snippet objects on the hot path.
-    """
-
-    __slots__ = ("snippets", "matrix")
-
-    def __init__(self, snippets: Sequence[Snippet]) -> None:
-        self.snippets = list(snippets)
-        self.matrix = trace_matrix(self.snippets)
-
-    def __len__(self) -> int:
-        return len(self.snippets)
+from repro.soc.snippet import Snippet
 
 
 #: Row value returned by :func:`masked_first_argmin` for an all-masked row
@@ -117,7 +100,7 @@ def lockstep_execute(
         Per-device snippet and configuration objects (result metadata).
     char_rows:
         ``(S, len(TRACE_COLUMNS))`` characteristics matrix — one
-        :class:`TraceArrays` row per device.
+        :attr:`~repro.soc.snippet.SnippetTrace.matrix` row per device.
     opp_index / cores:
         Per-cluster ``(S,)`` integer arrays of each device's decided
         configuration.

@@ -205,15 +205,12 @@ def _run_shard(pending: Dict[str, Any]) -> Dict[str, Any]:
     if collect == "summaries":
         # Live objects per step are bounded (results discarded, log
         # streamed), so reference counting alone reclaims everything and
-        # the cycle collector's periodic scans are pure overhead.
-        gc_was_enabled = gc.isenabled()
+        # the cycle collector's periodic scans are pure overhead.  The
+        # collector stays off: the child exits once it has replied, and
+        # turning it back on would first scan every snippet the run built.
         gc.disable()
-        try:
-            while not engine.done:
-                engine.step()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        while not engine.done:
+            engine.step()
         for session, stream in zip(engine.sessions, pending["streams"]):
             summaries.append({
                 "name": session.name,

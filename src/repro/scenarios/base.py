@@ -10,10 +10,13 @@ platform's reachable configuration space) over time.
 
 Design rules every scenario obeys:
 
-* **Pure** — :meth:`ScenarioSpec.apply` never mutates the input snippets;
-  it returns a fresh :class:`ScenarioTrace` whose snippets are either the
-  unmodified input objects (reorderings) or newly constructed ones
-  (insertions / characteristic rewrites).
+* **Pure** — :meth:`ScenarioSpec.apply` never mutates its input; it
+  returns a :class:`ScenarioTrace` over a
+  :class:`~repro.soc.snippet.SnippetTrace` computed on the input's arrays:
+  a row permutation (reorderings), inserted rows (idle gaps), rewritten
+  columns (characteristic drift) or the input trace itself (throttling).
+  Rows carried over keep any :class:`~repro.soc.snippet.Snippet` object
+  the input had already built; the others are built when first read.
 * **Seedable** — all randomness comes from the generator passed to
   ``apply``; the same seed reproduces the same trace bit for bit, which is
   what makes the golden-trace and ``--jobs`` determinism tests possible.
@@ -34,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.soc.snippet import Snippet
+from repro.soc.snippet import Snippet, SnippetTrace
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -68,16 +71,22 @@ class ThrottleEvent:
 class ScenarioTrace:
     """Output of a scenario transform: a snippet trace plus platform events.
 
-    ``snippets`` is the perturbed trace; ``throttle_events`` the (possibly
-    empty) set of windows during which the configuration space is capped.
-    Snippet names are guaranteed unique within the trace (enforced by
-    :meth:`ScenarioSpec.apply`), so one merged Oracle table can cover the
-    whole trace even when different steps use different spaces.
+    ``snippets`` is the perturbed :class:`~repro.soc.snippet.SnippetTrace`
+    (a plain snippet sequence is wrapped into one); ``throttle_events`` the
+    (possibly empty) set of windows during which the configuration space
+    is capped.  Snippet names are guaranteed unique within the trace
+    (enforced by :meth:`ScenarioSpec.apply`), so one merged Oracle table
+    can cover the whole trace even when different steps use different
+    spaces.
     """
 
-    snippets: List[Snippet] = field(default_factory=list)
+    snippets: SnippetTrace = field(
+        default_factory=lambda: SnippetTrace.from_snippets(()))
     throttle_events: Tuple[ThrottleEvent, ...] = ()
     scenario_name: str = ""
+
+    def __post_init__(self) -> None:
+        self.snippets = SnippetTrace.from_snippets(self.snippets)
 
     def __len__(self) -> int:
         return len(self.snippets)
@@ -95,11 +104,7 @@ class ScenarioTrace:
 
     def applications(self) -> List[str]:
         """Application names in first-appearance order."""
-        seen: List[str] = []
-        for snippet in self.snippets:
-            if snippet.application not in seen:
-                seen.append(snippet.application)
-        return seen
+        return list(dict.fromkeys(self.snippets.applications))
 
 
 #: Serialization registry: ScenarioSpec subclass name -> class.
@@ -128,30 +133,31 @@ class ScenarioSpec(abc.ABC):
 
     # -- required subclass surface ------------------------------------- #
     @abc.abstractmethod
-    def _transform(self, snippets: Tuple[Snippet, ...],
+    def _transform(self, snippets: SnippetTrace,
                    rng: np.random.Generator) -> ScenarioTrace:
-        """Produce the perturbed trace (must not mutate ``snippets``)."""
+        """Produce the perturbed trace from the input trace's arrays."""
 
     # -- public API ----------------------------------------------------- #
     def apply(self, snippets: Sequence[Snippet],
               rng: SeedLike = None) -> ScenarioTrace:
         """Apply the scenario to ``snippets`` and return the new trace.
 
-        ``rng`` may be a seed or a generator; the input sequence is never
-        mutated.  The output trace is validated: it must be non-empty and
-        its snippet names must be unique (Oracle tables key on the name).
+        ``snippets`` is a :class:`~repro.soc.snippet.SnippetTrace` or a
+        snippet sequence (wrapped into one, keeping its objects); ``rng``
+        may be a seed or a generator.  The input is never mutated.  The
+        output trace is validated: it must be non-empty and its snippet
+        names must be unique (Oracle tables key on the name).
         """
-        frozen = tuple(snippets)
-        if not frozen:
+        source = SnippetTrace.from_snippets(snippets)
+        if not source:
             raise ValueError("scenario input trace must not be empty")
-        trace = self._transform(frozen, make_rng(rng))
+        trace = self._transform(source, make_rng(rng))
         trace.scenario_name = self.name
         if not trace.snippets:
             raise ValueError(
                 f"scenario {self.name!r} produced an empty trace"
             )
-        names = [snippet.name for snippet in trace.snippets]
-        if len(set(names)) != len(names):
+        if not trace.snippets.unique_names():
             raise ValueError(
                 f"scenario {self.name!r} produced duplicate snippet names"
             )

@@ -17,14 +17,19 @@ static suite presets never exercise:
 * :class:`CompositeScenario` — ordered composition of other scenarios
   (used by the registered ``stress_combo``).
 
+Every transform works on the arrays of the input
+:class:`~repro.soc.snippet.SnippetTrace`: a row permutation (phase churn,
+concurrent mix), inserted rows (bursty idle), scaled columns
+(characteristic drift) or the input trace unchanged (thermal throttle).
+None of them builds a :class:`~repro.soc.snippet.Snippet` object.
+
 Default instances of all of these are placed in the scenario registry at
 import time; see :func:`repro.scenarios.base.available_scenarios`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -36,48 +41,36 @@ from repro.scenarios.base import (
     register_scenario,
     scenario_from_dict,
 )
-from repro.soc.snippet import Snippet, SnippetCharacteristics
+from repro.soc.snippet import (
+    TRACE_COLUMNS,
+    SnippetCharacteristics,
+    SnippetTrace,
+)
 from repro.workloads.generator import sample_characteristics
 
 
-def _clip(value: float, low: float, high: float) -> float:
-    return float(min(max(value, low), high))
-
-
-def _group_by_application(
-    snippets: Tuple[Snippet, ...]
-) -> Dict[str, "deque[Snippet]"]:
-    """Per-application FIFO queues, preserving each app's internal order."""
-    groups: Dict[str, deque] = {}
-    for snippet in snippets:
-        groups.setdefault(snippet.application, deque()).append(snippet)
-    return groups
-
-
-def _round_robin_blocks(snippets: Tuple[Snippet, ...],
-                        rng: np.random.Generator,
-                        block: int) -> List[Snippet]:
+def _round_robin_blocks(trace: SnippetTrace, rng: np.random.Generator,
+                        block: int) -> SnippetTrace:
     """Rebuild the trace as rng-ordered application blocks of ``block``.
 
     Every application keeps its own snippet order; the *global* order is a
     round robin over the applications (visit order shuffled by ``rng``),
     taking ``block`` snippets per visit.  Small blocks model concurrent
-    time slicing; large blocks model abrupt phase churn.
+    time slicing; large blocks model abrupt phase churn.  The result is a
+    row permutation of ``trace``.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
-    groups = _group_by_application(snippets)
+    groups: Dict[str, List[int]] = {}
+    for row, application in enumerate(trace.applications):
+        groups.setdefault(application, []).append(row)
     order = [str(app) for app in rng.permutation(list(groups))]
-    out: List[Snippet] = []
-    while len(out) < len(snippets):
-        progressed = False
+    longest = max(len(rows) for rows in groups.values())
+    rows: List[int] = []
+    for offset in range(0, longest, block):
         for app in order:
-            queue = groups[app]
-            for _ in range(min(block, len(queue))):
-                out.append(queue.popleft())
-                progressed = True
-        assert progressed, "round-robin made no progress"
-    return out
+            rows.extend(groups[app][offset:offset + block])
+    return trace.take(rows)
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ class PhaseChurn(ScenarioSpec):
     name: str = "phase_churn"
     block: int = 8
 
-    def _transform(self, snippets: Tuple[Snippet, ...],
+    def _transform(self, snippets: SnippetTrace,
                    rng: np.random.Generator) -> ScenarioTrace:
         return ScenarioTrace(_round_robin_blocks(snippets, rng, self.block))
 
@@ -105,12 +98,16 @@ class ConcurrentMix(ScenarioSpec):
     name: str = "concurrent_mix"
     slice_snippets: int = 2
 
-    def _transform(self, snippets: Tuple[Snippet, ...],
+    def _transform(self, snippets: SnippetTrace,
                    rng: np.random.Generator) -> ScenarioTrace:
         return ScenarioTrace(
             _round_robin_blocks(snippets, rng, self.slice_snippets)
         )
 
+
+#: Trace-matrix columns CharacteristicDrift rewrites.
+_MEMORY_INTENSITY = TRACE_COLUMNS.index("memory_intensity")
+_ILP_FACTOR = TRACE_COLUMNS.index("ilp_factor")
 
 #: Mean characteristics of a BurstyIdle gap snippet: tiny, memory-light and
 #: LITTLE-leaning, like OS housekeeping between arrivals.
@@ -129,7 +126,8 @@ class BurstyIdle(ScenarioSpec):
     snippets are inserted: tiny, memory-light, LITTLE-leaning windows that
     look like OS housekeeping between arrivals.  Their characteristics get
     a small lognormal jitter from the scenario rng so gaps are not all
-    identical.
+    identical.  All gaps are sampled with one draw, in trace order, and
+    each gap's idle rows are inserted between the input rows as a block.
     """
 
     description = ("bursty arrivals: `burst` real snippets separated by "
@@ -141,33 +139,39 @@ class BurstyIdle(ScenarioSpec):
     idle_jitter: float = 0.10
     idle_instruction_fraction: float = 0.25
 
-    def _transform(self, snippets: Tuple[Snippet, ...],
+    def _transform(self, snippets: SnippetTrace,
                    rng: np.random.Generator) -> ScenarioTrace:
         if self.burst < 1:
             raise ValueError("burst must be >= 1")
         if self.idle_gap < 0:
             raise ValueError("idle_gap must be non-negative")
+        # statistics.median computes the same (a + b) / 2 as np.median for
+        # floats, without importing numpy.ma (15 ms) on first use; it is
+        # imported here because its own imports cost about 5 ms and 1 MB,
+        # which only traces with idle gaps should pay.
+        import statistics
+
+        n = len(snippets)
         idle_instructions = max(
             1.0,
             self.idle_instruction_fraction
-            * float(np.median([s.n_instructions for s in snippets])),
+            * float(statistics.median(snippets.matrix[:, 0].tolist())),
         )
-        out: List[Snippet] = []
-        idle_index = 0
-        for position, snippet in enumerate(snippets, start=1):
-            out.append(snippet)
-            if position % self.burst == 0 and position < len(snippets):
-                for characteristics in sample_characteristics(
-                        _IDLE_CHARACTERISTICS, self.idle_jitter,
-                        self.idle_gap, rng):
-                    out.append(Snippet(
-                        application="idle",
-                        index=idle_index,
-                        n_instructions=idle_instructions,
-                        characteristics=characteristics,
-                    ))
-                    idle_index += 1
-        return ScenarioTrace(out)
+        gaps = (n - 1) // self.burst
+        n_idle = gaps * self.idle_gap
+        idle = np.empty((n_idle, len(TRACE_COLUMNS)))
+        idle[:, 0] = idle_instructions
+        sample_characteristics(_IDLE_CHARACTERISTICS, self.idle_jitter, rng,
+                               idle[:, 1:])
+        idle_trace = SnippetTrace(idle, ("idle",) * n_idle, range(n_idle))
+        rows: List[int] = []
+        for gap in range(gaps):
+            rows.extend(range(gap * self.burst, (gap + 1) * self.burst))
+            first = n + gap * self.idle_gap
+            rows.extend(range(first, first + self.idle_gap))
+        rows.extend(range(gaps * self.burst, n))
+        return ScenarioTrace(SnippetTrace.concat([snippets, idle_trace])
+                             .take(rows))
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,9 @@ class ThermalThrottle(ScenarioSpec):
     Every ``period`` snippets one throttle window of ``duty * period``
     snippets opens (start offset jittered by the scenario rng), during
     which no cluster may run above OPP index ``max_opp_index``.  The
-    snippets themselves are untouched — the stress is entirely on the
-    *configuration space* the policy can act in.
+    snippets themselves are untouched — the output trace *is* the input
+    trace; the stress is entirely on the *configuration space* the policy
+    can act in.
     """
 
     description = ("periodic thermal-throttling windows capping the "
@@ -189,7 +194,7 @@ class ThermalThrottle(ScenarioSpec):
     duty: float = 0.5
     max_opp_index: int = 1
 
-    def _transform(self, snippets: Tuple[Snippet, ...],
+    def _transform(self, snippets: SnippetTrace,
                    rng: np.random.Generator) -> ScenarioTrace:
         if self.period < 2:
             raise ValueError("period must be >= 2")
@@ -206,7 +211,7 @@ class ThermalThrottle(ScenarioSpec):
             if start < n:
                 events.append(ThrottleEvent(start=start, stop=stop,
                                             max_opp_index=self.max_opp_index))
-        return ScenarioTrace(list(snippets), throttle_events=tuple(events))
+        return ScenarioTrace(snippets, throttle_events=tuple(events))
 
 
 @dataclass(frozen=True)
@@ -219,6 +224,10 @@ class CharacteristicDrift(ScenarioSpec):
     characteristics to a strongly memory-bound, low-ILP regime the offline
     policy never trained on.  The ramp is deterministic; the scenario rng
     adds a small per-snippet lognormal wobble when ``jitter`` is non-zero.
+
+    The ramp factors are Python ``**`` results, one per row (NumPy's
+    ``power`` rounds differently for some of them); the two columns are
+    then scaled and clipped elementwise.
     """
 
     description = ("geometric drift of memory intensity and ILP across "
@@ -229,31 +238,25 @@ class CharacteristicDrift(ScenarioSpec):
     ilp_scale: float = 0.7
     jitter: float = 0.0
 
-    def _transform(self, snippets: Tuple[Snippet, ...],
+    def _transform(self, snippets: SnippetTrace,
                    rng: np.random.Generator) -> ScenarioTrace:
         if self.memory_intensity_scale <= 0 or self.ilp_scale <= 0:
             raise ValueError("drift scales must be positive")
         n = len(snippets)
-        out: List[Snippet] = []
-        for i, snippet in enumerate(snippets):
-            progress = i / (n - 1) if n > 1 else 1.0
-            wobble = 1.0
-            if self.jitter > 0.0:
-                wobble = float(np.exp(rng.normal(0.0, self.jitter)))
-            chars = snippet.characteristics
-            drifted = replace(
-                chars,
-                memory_intensity=max(
-                    0.0,
-                    chars.memory_intensity
-                    * self.memory_intensity_scale ** progress * wobble,
-                ),
-                ilp_factor=_clip(
-                    chars.ilp_factor * self.ilp_scale ** progress, 0.05, 1.0
-                ),
-            )
-            out.append(replace(snippet, characteristics=drifted))
-        return ScenarioTrace(out)
+        progress = [i / (n - 1) for i in range(n)] if n > 1 else [1.0]
+        memory_ramp = np.array(
+            [self.memory_intensity_scale ** p for p in progress])
+        ilp_ramp = np.array([self.ilp_scale ** p for p in progress])
+        matrix = snippets.matrix.copy()
+        memory = matrix[:, _MEMORY_INTENSITY] * memory_ramp
+        if self.jitter > 0.0:
+            # One draw per snippet, in trace order.
+            memory = memory * np.exp(rng.normal(0.0, self.jitter, size=n))
+        matrix[:, _MEMORY_INTENSITY] = np.maximum(memory, 0.0)
+        matrix[:, _ILP_FACTOR] = np.minimum(
+            np.maximum(matrix[:, _ILP_FACTOR] * ilp_ramp, 0.05), 1.0)
+        return ScenarioTrace(SnippetTrace(matrix, snippets.applications,
+                                          snippets.indices))
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,7 @@ class CompositeScenario(ScenarioSpec):
     child's output snippets.  Throttle events from every child are
     concatenated, and their step indices refer to positions in the final
     trace — so once any child has produced throttle events, later children
-    must leave the snippet sequence untouched (same snippets, same order).
+    must leave the snippet sequence untouched (same rows, same order).
     Violations raise instead of silently throttling the wrong steps; put
     reordering/inserting children *before* throttling children, as the
     registered ``stress_combo`` does.
@@ -275,18 +278,15 @@ class CompositeScenario(ScenarioSpec):
     name: str = "composite"
     children: Tuple[ScenarioSpec, ...] = ()
 
-    def _transform(self, snippets: Tuple[Snippet, ...],
+    def _transform(self, snippets: SnippetTrace,
                    rng: np.random.Generator) -> ScenarioTrace:
         if not self.children:
             raise ValueError("CompositeScenario needs at least one child")
-        current = list(snippets)
+        current = snippets
         events: List[ThrottleEvent] = []
         for child in self.children:
             trace = child.apply(current, rng)
-            if events and not (
-                len(trace.snippets) == len(current)
-                and all(a is b for a, b in zip(trace.snippets, current))
-            ):
+            if events and not trace.snippets.same_rows(current):
                 raise ValueError(
                     f"composite {self.name!r}: child {child.name!r} changed "
                     "the snippet sequence after an earlier child produced "

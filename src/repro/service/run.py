@@ -44,10 +44,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.control.policy import DRMPolicy, GovernorPolicy, StaticPolicy
 from repro.core.session import PolicySession, SnapshotError
-from repro.fleet.device import DeviceSpec
+from repro.fleet.device import DeviceSpec, device_trace
 from repro.fleet.faults import FaultPlan, fault_from_dict
 from repro.fleet.supervisor import DeviceHealth, FleetSupervisor
-from repro.scenarios import available_scenarios, get_scenario
+from repro.scenarios import available_scenarios
 from repro.scenarios.runtime import make_space_schedule
 from repro.service.journal import (
     Journal,
@@ -78,8 +78,6 @@ from repro.soc.governors import (
 from repro.soc.platform import odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
 from repro.utils.rng import derive_seed, make_rng, stable_name_id
-from repro.workloads.sequences import build_online_sequence
-from repro.workloads.suites import unseen_workloads
 
 #: Journal file name inside a run directory.
 JOURNAL_FILE = "journal.bin"
@@ -206,11 +204,10 @@ def build_config_devices(
     rotation.extend(config.scenarios)
     devices: List[DeviceSpec] = []
     for i in range(config.n_devices):
-        sequence = build_online_sequence(
-            specs=unseen_workloads(),
-            snippet_factor=scale.sequence_snippet_factor,
-            seed=derive_seed(config.seed, (_SERVICE_STREAM, 0, i)),
-        )
+        name = f"device-{i:02d}"
+        scenario_name = rotation[i % len(rotation)]
+        trace = device_trace(config.seed, _SERVICE_STREAM, i,
+                             scale.sequence_snippet_factor, scenario_name)
         if framework is not None:
             policy: DRMPolicy = framework.build_online_il_policy(
                 buffer_capacity=scale.buffer_capacity,
@@ -220,18 +217,11 @@ def build_config_devices(
         else:
             policy = build_named_policy(config.policy, space)
         noise_rng = make_rng(derive_seed(config.seed, (_SERVICE_STREAM, 1, i)))
-        name = f"device-{i:02d}"
-        scenario_name = rotation[i % len(rotation)]
         if scenario_name is None:
             devices.append(DeviceSpec(
-                name=name, policy=policy, snippets=sequence.snippets,
-                rng=noise_rng,
+                name=name, policy=policy, snippets=trace, rng=noise_rng,
             ))
         else:
-            trace = get_scenario(scenario_name).apply(
-                sequence.snippets,
-                derive_seed(config.seed, (_SERVICE_STREAM, 2, i)),
-            )
             devices.append(DeviceSpec(
                 name=name, policy=policy, scenario=trace, rng=noise_rng,
             ))

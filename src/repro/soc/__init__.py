@@ -20,7 +20,7 @@ from repro.soc.configuration import (
     SpaceArrays,
 )
 from repro.soc.counters import PerformanceCounters, COUNTER_NAMES
-from repro.soc.snippet import Snippet, SnippetCharacteristics
+from repro.soc.snippet import Snippet, SnippetCharacteristics, SnippetTrace
 from repro.soc.simulator import SoCBatchResult, SoCSimulator, SnippetResult
 from repro.soc.energy import EnergyAccount
 from repro.soc.governors import (
@@ -47,6 +47,7 @@ __all__ = [
     "COUNTER_NAMES",
     "Snippet",
     "SnippetCharacteristics",
+    "SnippetTrace",
     "SoCSimulator",
     "SoCBatchResult",
     "SnippetResult",

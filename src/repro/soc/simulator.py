@@ -37,7 +37,7 @@ import numpy as np
 from repro.soc.configuration import SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.platform import PlatformSpec
-from repro.soc.snippet import Snippet, trace_matrix
+from repro.soc.snippet import Snippet, SnippetTrace
 from repro.utils.rng import make_rng
 
 #: Bytes transferred per non-cache external memory request (cache line).
@@ -490,7 +490,8 @@ class SoCSimulator:
         ``len(snippets) * len(configurations)``; callers sweeping long
         traces pass them in chunks (see :func:`repro.core.oracle.build_oracle`).
         """
-        snippets = list(snippets)
+        trace = SnippetTrace.from_snippets(snippets)
+        snippets = list(trace)
         configs = list(configurations)
         if not configs:
             raise ValueError("evaluate_expected_grid needs at least one configuration")
@@ -520,7 +521,7 @@ class SoCSimulator:
 
         # Snippet characteristics as (rows, 1) columns broadcasting over
         # the configuration axis.
-        chars = trace_matrix(snippets)
+        chars = trace.matrix
         (n_instr, memory_intensity, memory_access_rate, external_request_rate,
          branch_mpki, ilp_factor, parallel_fraction, thread_count,
          big_fraction) = np.hsplit(chars, chars.shape[1])

@@ -3,7 +3,7 @@
 Figure 3 of the paper runs a *sequence* of Cortex and PARSEC applications on
 the board after the policies were trained offline on Mi-Bench, and tracks how
 quickly each policy converges to the Oracle.  This module builds such
-sequences (ordered lists of snippets with per-application boundaries) and
+sequences (ordered snippet traces with per-application boundaries) and
 records the wall-clock offsets needed to plot accuracy against time.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.soc.snippet import Snippet
+from repro.soc.snippet import Snippet, SnippetTrace
 from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.spec import WorkloadSpec
@@ -23,7 +23,8 @@ from repro.workloads.suites import CORTEX_APPS, PARSEC_APPS
 class ApplicationSequence:
     """An ordered snippet trace spanning several applications."""
 
-    snippets: List[Snippet] = field(default_factory=list)
+    snippets: SnippetTrace = field(
+        default_factory=lambda: SnippetTrace.from_snippets(()))
     boundaries: Dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -31,14 +32,12 @@ class ApplicationSequence:
 
     def applications(self) -> List[str]:
         """Application names in first-appearance order."""
-        seen: List[str] = []
-        for snippet in self.snippets:
-            if snippet.application not in seen:
-                seen.append(snippet.application)
-        return seen
+        return list(dict.fromkeys(self.snippets.applications))
 
     def application_slice(self, application: str) -> List[Snippet]:
-        return [s for s in self.snippets if s.application == application]
+        return [self.snippets[row]
+                for row, name in enumerate(self.snippets.applications)
+                if name == application]
 
 
 def build_online_sequence(
@@ -57,9 +56,12 @@ def build_online_sequence(
         specs = list(CORTEX_APPS.values()) + list(PARSEC_APPS.values())
     rng = make_rng(seed)
     generator = SnippetTraceGenerator(seed=rng)
-    sequence = ApplicationSequence()
-    for spec in specs:
-        scaled = spec.scaled(snippet_factor) if snippet_factor != 1.0 else spec
-        sequence.boundaries[spec.name] = len(sequence.snippets)
-        sequence.snippets.extend(generator.generate(scaled, rng=rng))
-    return sequence
+    scaled = [spec.scaled(snippet_factor) if snippet_factor != 1.0 else spec
+              for spec in specs]
+    boundaries: Dict[str, int] = {}
+    start = 0
+    for spec in scaled:
+        boundaries[spec.name] = start
+        start += spec.n_snippets
+    return ApplicationSequence(generator.generate_many(scaled, rng=rng),
+                               boundaries)

@@ -3,7 +3,7 @@
 A :class:`WorkloadSpec` describes one benchmark application as a sequence of
 *phases*; each phase specifies mean snippet characteristics and how much they
 jitter from snippet to snippet.  The trace generator expands a spec into a
-concrete list of :class:`~repro.soc.snippet.Snippet` objects.
+concrete :class:`~repro.soc.snippet.SnippetTrace`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import pytest
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
 from repro.fleet import (DeviceSpec, FleetBuildWarning, FleetEngine,
-                         TraceArrays, build_fleet)
+                         build_fleet)
 from repro.fleet.kernels import lockstep_execute
 from repro.scenarios import get_scenario
 from repro.scenarios.runtime import run_policy_on_scenario
@@ -29,6 +29,7 @@ from repro.soc.governors import (
     PowersaveGovernor,
 )
 from repro.soc.simulator import SoCSimulator
+from repro.soc.snippet import SnippetTrace
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
@@ -38,7 +39,8 @@ LOG_KEYS = ("energy_j", "time_s", "power_w", "big_opp", "little_opp")
 def make_trace(i, factor=0.3, extra=0):
     generator = SnippetTraceGenerator(seed=100 + i)
     workloads = training_workloads()
-    trace = generator.generate(workloads[i % len(workloads)].scaled(factor))
+    trace = list(generator.generate(
+        workloads[i % len(workloads)].scaled(factor)))
     for j in range(extra):
         trace.extend(generator.generate(
             workloads[(i + j + 1) % len(workloads)].scaled(factor)
@@ -82,7 +84,8 @@ class TestLockstepKernel:
                 0.0, simulator.noise_scale, size=2)
             for i in range(len(pairs))
         ]))
-        chars = TraceArrays([snippet for snippet, _ in pairs]).matrix
+        chars = SnippetTrace.from_snippets(
+            [snippet for snippet, _ in pairs]).matrix
         opp_index = {
             name: np.array([config.opp_index(name) for _, config in pairs],
                            dtype=np.intp)
@@ -109,7 +112,7 @@ class TestLockstepKernel:
         trace = make_trace(0)
         config = space.default_configuration()
         scalar = [simulator.run_snippet(s, config) for s in trace]
-        chars = TraceArrays(trace).matrix
+        chars = SnippetTrace.from_snippets(trace).matrix
         n = len(trace)
         opp_index = {name: np.full(n, config.opp_index(name), dtype=np.intp)
                      for name in platform.cluster_names}

@@ -1,7 +1,10 @@
 """Tests for the dynamic scenario engine.
 
 Covers the scenario registry and serialization, the determinism and purity
-contracts of every registered transform, space restriction and its
+contracts of every registered transform, the array transforms against
+their per-snippet references in ``tests/reference/scenario_transforms.py``
+(equal rows, names, throttle events and generator state), space
+restriction and its
 interaction with the :class:`~repro.core.oracle.OracleCache` (a throttled
 window must never reuse a stale full-space Oracle entry), throttle
 enforcement in the shared policy-evaluation loop, the robustness driver,
@@ -9,6 +12,11 @@ and the ``--jobs`` invariance of the scenario sweep.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,8 +51,10 @@ from repro.scenarios.base import ScenarioSpec
 from repro.scenarios.runtime import make_space_schedule, restricted_spaces
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.governors import PowersaveGovernor
+from repro.soc.snippet import SnippetTrace, trace_matrix
 from repro.workloads.sequences import build_online_sequence
 from repro.workloads.suites import unseen_workloads
+from reference.scenario_transforms import reference_apply
 
 REQUIRED_SCENARIOS = {
     "phase_churn", "bursty_idle", "concurrent_mix", "thermal_throttle",
@@ -227,6 +237,88 @@ class TestTransformSemantics:
         )
         trace = double.apply(base_trace, 0)
         assert len(trace.throttle_events) > 1
+
+
+class TestArrayTransformsMatchReference:
+    """Every array transform == its per-snippet reference, bitwise.
+
+    Equal rows (float bit patterns), snippet names and throttle events,
+    and the scenario generator left in the same state — the next draw
+    from a shared stream must not move.
+    """
+
+    SEEDS = range(8)
+    FACTORS = (0.5, 1.0, 2.0)
+
+    @staticmethod
+    def _assert_same(spec, snippets, seed):
+        rng = np.random.default_rng(seed)
+        expected_rng = np.random.default_rng(seed)
+        trace = spec.apply(snippets, rng)
+        expected = reference_apply(spec, list(snippets), expected_rng)
+        reference_rows = list(expected.snippets)
+        assert isinstance(trace.snippets, SnippetTrace)
+        assert (trace.snippets.matrix.tobytes()
+                == trace_matrix(reference_rows).tobytes())
+        assert ([f"{app}[{index}]" for app, index in
+                 zip(trace.snippets.applications, trace.snippets.indices)]
+                == [snippet.name for snippet in reference_rows])
+        assert list(trace.snippets) == reference_rows
+        assert trace.throttle_events == expected.throttle_events
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_registered_scenario_matches_reference(self, name):
+        spec = get_scenario(name)
+        for seed in self.SEEDS:
+            for factor in self.FACTORS:
+                snippets = build_online_sequence(
+                    specs=unseen_workloads(), snippet_factor=factor,
+                    seed=seed).snippets
+                self._assert_same(spec, snippets, 1000 + seed)
+
+    def test_jittered_drift_matches_reference(self):
+        spec = CharacteristicDrift(jitter=0.1)
+        for seed in self.SEEDS:
+            for factor in self.FACTORS:
+                snippets = build_online_sequence(
+                    specs=unseen_workloads(), snippet_factor=factor,
+                    seed=seed).snippets
+                self._assert_same(spec, snippets, 2000 + seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 144])
+    @pytest.mark.parametrize("jitter", [0.0, 0.1])
+    def test_drift_ramp_lengths_match_reference(self, n, jitter):
+        sequence = build_online_sequence(specs=unseen_workloads(),
+                                         snippet_factor=1.0, seed=5)
+        assert len(sequence) >= n
+        spec = CharacteristicDrift(memory_intensity_scale=2.3,
+                                   ilp_scale=0.55, jitter=jitter)
+        self._assert_same(spec, sequence.snippets[:n], 7)
+
+    def test_transforms_build_no_snippet_objects(self):
+        snippets = build_online_sequence(specs=unseen_workloads(),
+                                         snippet_factor=0.5,
+                                         seed=0).snippets
+        for name in available_scenarios():
+            trace = get_scenario(name).apply(snippets, 3).snippets
+            assert all(row is None for row in trace._snippets), name
+        assert all(row is None for row in snippets._snippets)
+
+    def test_bursty_idle_lowering_does_not_import_numpy_ma(self):
+        """The idle-gap median must not pull in numpy.ma (a 15 ms import)."""
+        code = textwrap.dedent("""
+            import sys
+            from repro.fleet import device_trace
+            trace = device_trace(0, 1, 0, 0.25, "bursty_idle")
+            assert any(app == "idle" for app in trace.snippets.applications)
+            assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestScenarioTrace:

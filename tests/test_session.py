@@ -9,19 +9,30 @@ closed-loop behaviour (which the golden traces also gate end to end).
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
 from repro.core.session import PolicySession, SnapshotError
-from repro.scenarios import get_scenario, make_space_schedule
+from repro.scenarios import (
+    ScenarioTrace,
+    ThrottleEvent,
+    get_scenario,
+    make_space_schedule,
+)
 from repro.soc.governors import (
     InteractiveGovernor,
     OndemandGovernor,
     PerformanceGovernor,
     PowersaveGovernor,
 )
+from repro.soc.platform import odroid_xu3_like
+from repro.soc.simulator import SoCSimulator
+from repro.soc.snippet import SnippetTrace
 from repro.workloads.suites import training_workloads
 
 
@@ -449,3 +460,43 @@ class TestStateDigest:
                                          noisy_simulator)
         restored.run()
         assert restored.state_digest() == full.state_digest()
+
+
+class TestOldSnapshotLayout:
+    """A snapshot written when sessions kept ``snippets`` as a plain list.
+
+    ``tests/data/session_list_snippets.snapshot`` was saved by the code
+    from before snippet traces were held as arrays: an ondemand-governor
+    session over a ``stress_combo`` scenario trace, paused between decide
+    and observe at step 7.  ``session_list_snippets.json`` records the
+    simulator it ran on, the scenario's throttle events and the
+    ``state_digest`` the session reached after running to the end.
+    """
+
+    DATA = Path(__file__).resolve().parent / "data"
+
+    def test_old_list_snapshot_resumes_to_recorded_digest(self):
+        meta = json.loads(
+            (self.DATA / "session_list_snippets.json").read_text())
+        simulator = SoCSimulator(odroid_xu3_like(),
+                                 noise_scale=meta["simulator"]["noise_scale"],
+                                 seed=meta["simulator"]["seed"])
+        path = self.DATA / "session_list_snippets.snapshot"
+        state = PolicySession.unpack_snapshot(path.read_bytes())
+        assert type(state["snippets"]) is list
+        session = PolicySession.load_snapshot(path, simulator)
+        assert isinstance(session.snippets, SnippetTrace)
+        pending = session.pending
+        assert pending is not None and pending.index == meta["paused_at"]
+        assert pending.snippet is session.snippets[pending.index]
+        events = tuple(ThrottleEvent(*event)
+                       for event in meta["throttle_events"])
+        session.space_schedule = make_space_schedule(
+            session.space, ScenarioTrace(session.snippets,
+                                         throttle_events=events))
+        session.observe(pending, session.execute(pending))
+        session.run()
+        assert len(session) == meta["steps"]
+        assert session.state_digest() == meta["final_state_digest"]
+        assert (session.account.total_energy_j.hex()
+                == meta["final_total_energy_j"])

@@ -50,7 +50,8 @@ GOVERNORS = (OndemandGovernor, PerformanceGovernor, PowersaveGovernor,
 def make_trace(i, factor=0.3, extra=0):
     generator = SnippetTraceGenerator(seed=100 + i)
     workloads = training_workloads()
-    trace = generator.generate(workloads[i % len(workloads)].scaled(factor))
+    trace = list(generator.generate(
+        workloads[i % len(workloads)].scaled(factor)))
     for j in range(extra):
         trace.extend(generator.generate(
             workloads[(i + j + 1) % len(workloads)].scaled(factor)

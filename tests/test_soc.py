@@ -1,4 +1,8 @@
-"""Tests for the SoC substrate: OPPs, clusters, configurations, simulator, governors."""
+"""Tests for the SoC substrate: OPPs, clusters, configurations, snippets and
+snippet traces, simulator, governors."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from repro.soc import (
     PowersaveGovernor,
     Snippet,
     SnippetCharacteristics,
+    SnippetTrace,
     SoCConfiguration,
     SoCSimulator,
     odroid_xu3_like,
@@ -202,6 +207,93 @@ class TestSnippet:
         assert snippet.name == "fft[3]"
         with pytest.raises(ValueError):
             Snippet(application="fft", index=0, n_instructions=0)
+
+
+class TestSnippetTrace:
+    """The array-held trace: lazy rows, kept objects, vectorised checks."""
+
+    @staticmethod
+    def _rows(n):
+        chars = SnippetCharacteristics(memory_intensity=2.5, thread_count=2)
+        row = (20e6,) + chars.as_row()
+        return np.array([row] * n), ("app",) * n, range(n)
+
+    def test_rows_build_once_and_stay_identical(self):
+        trace = SnippetTrace(*self._rows(4))
+        assert len(trace) == 4
+        first = trace[1]
+        assert trace[1] is first and trace[-3] is first
+        assert first == Snippet(
+            application="app", index=1, n_instructions=20e6,
+            characteristics=SnippetCharacteristics(memory_intensity=2.5,
+                                                   thread_count=2))
+        assert type(first.characteristics.thread_count) is int
+        assert [s.name for s in trace[2:]] == ["app[2]", "app[3]"]
+        assert trace[2:][0] is trace[2]
+
+    def test_matrix_is_read_only(self):
+        trace = SnippetTrace(*self._rows(2))
+        with pytest.raises(ValueError):
+            trace.matrix[0, 1] = 9.0
+
+    def test_from_snippets_keeps_objects(self):
+        snippets = [Snippet(application="a", index=i) for i in range(3)]
+        trace = SnippetTrace.from_snippets(snippets)
+        assert all(trace[i] is snippets[i] for i in range(3))
+        assert SnippetTrace.from_snippets(trace) is trace
+        np.testing.assert_array_equal(
+            trace.matrix[:, 1],
+            [s.characteristics.memory_intensity for s in snippets])
+        empty = SnippetTrace.from_snippets([])
+        assert len(empty) == 0 and empty.matrix.shape == (0, 9)
+
+    @pytest.mark.parametrize("column, value, message", [
+        (0, 0.0, "n_instructions"),
+        (1, -1.0, "memory_intensity"),
+        (2, 1.5, "memory_access_rate"),
+        (5, 0.0, "ilp_factor"),
+        (7, 0.0, "thread_count"),
+        (8, -0.1, "big_fraction"),
+    ])
+    def test_out_of_bounds_row_raises_constructor_message(self, column,
+                                                          value, message):
+        matrix, applications, indices = self._rows(5)
+        matrix[3, column] = value
+        with pytest.raises(ValueError, match=message):
+            SnippetTrace(matrix, applications, indices)
+
+    def test_fractional_thread_count_and_negative_index_rejected(self):
+        matrix, applications, indices = self._rows(3)
+        matrix[1, 7] = 1.5
+        with pytest.raises(ValueError, match="out of bounds"):
+            SnippetTrace(matrix, applications, indices)
+        with pytest.raises(ValueError, match="index"):
+            SnippetTrace(*self._rows(2)[:2], [0, -1])
+        with pytest.raises(ValueError):
+            SnippetTrace(np.zeros((2, 4)), ("a", "a"), (0, 1))
+
+    def test_take_and_concat_keep_built_objects(self):
+        trace = SnippetTrace(*self._rows(4))
+        kept = trace[3]
+        taken = trace.take([3, 0])
+        assert taken[0] is kept
+        assert taken.indices == (3, 0)
+        assert taken.same_rows(trace.take([3, 0]))
+        assert not taken.same_rows(trace.take([0, 3]))
+        joined = SnippetTrace.concat([trace, taken])
+        assert len(joined) == 6 and joined[3] is kept and joined[4] is kept
+        assert not joined.unique_names() and trace.unique_names()
+
+    def test_pickle_and_deepcopy_keep_identity(self):
+        trace = SnippetTrace(*self._rows(3))
+        held = trace[1]
+        restored_trace, restored_held = pickle.loads(
+            pickle.dumps((trace, held)))
+        assert restored_trace[1] is restored_held
+        assert not restored_trace.matrix.flags.writeable
+        assert restored_trace[0] == trace[0]
+        copied = copy.deepcopy([trace, held])
+        assert copied[0][1] is copied[1]
 
 
 class TestSimulator:

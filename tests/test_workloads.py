@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.soc.snippet import SnippetCharacteristics
+from repro.soc.snippet import SnippetCharacteristics, SnippetTrace
 from repro.workloads import (
     ALL_CPU_APPS,
     CORTEX_APPS,
@@ -177,7 +177,8 @@ class TestPhaseSampling:
                 ALL_CPU_APPS["fft"].scaled(0.5)))
             rng = np.random.default_rng(100 + seed)
             expected_rng = np.random.default_rng(100 + seed)
-            trace = scenario._transform(snippets, rng)
+            trace = scenario._transform(SnippetTrace.from_snippets(snippets),
+                                        rng)
             reference = bursty_idle_transform(scenario, snippets,
                                               expected_rng)
             self._assert_same(trace.snippets, reference.snippets)
