@@ -32,7 +32,7 @@ from repro.models.power import CpuPowerModel
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.energy import EnergyAccount
 from repro.soc.platform import PlatformSpec, odroid_xu3_like
-from repro.soc.simulator import SnippetResult, SoCSimulator
+from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet
 from repro.utils.records import RunLog
 from repro.utils.rng import SeedLike, make_rng, spawn_rngs
@@ -52,7 +52,8 @@ class PolicyRunResult:
     log: RunLog
     account: EnergyAccount
     oracle_energy_j: Optional[float] = None
-    results: List[SnippetResult] = field(default_factory=list)
+    #: The executed (clamped) configuration of every logged step.
+    configurations: List[SoCConfiguration] = field(default_factory=list)
 
     @property
     def total_energy_j(self) -> float:

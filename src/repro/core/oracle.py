@@ -194,8 +194,14 @@ def persistent_entry_digest(snippet: Snippet, space: ConfigurationSpace,
     modules the entry's semantics depend on, so a store written by older
     simulator/Oracle code cleanly misses instead of serving stale results.
     """
+    return _entry_digest(snippet_cache_key(snippet), space, objective)
+
+
+def _entry_digest(key: SnippetKey, space: ConfigurationSpace,
+                  objective: Objective) -> str:
+    """:func:`persistent_entry_digest` of the snippet with cache key ``key``."""
     return content_digest(
-        snippet_cache_key(snippet),
+        key,
         space.content_key(),
         persistent_objective_key(objective),
         code_fingerprint(),
@@ -288,9 +294,16 @@ class OracleCache:
         return bucket
 
     def lookup(self, snippet: Snippet, space: ConfigurationSpace,
-               objective: Objective) -> Optional[OracleEntry]:
+               objective: Objective, *,
+               _key: Optional[SnippetKey] = None) -> Optional[OracleEntry]:
+        """The cached entry for ``snippet``, or ``None`` on a miss.
+
+        ``_key`` is ``snippet_cache_key(snippet)`` when the caller already
+        computed it (as :func:`build_oracle` does), so it is not hashed
+        again.
+        """
         bucket = self._bucket(space, objective)
-        key = snippet_cache_key(snippet)
+        key = snippet_cache_key(snippet) if _key is None else _key
         entry = bucket.get(key)
         if entry is not None:
             self.hits += 1
@@ -300,7 +313,7 @@ class OracleCache:
         _GLOBAL_CACHE_STATS["misses"] += 1
         if self.store_backend is not None:
             stored = self.store_backend.get(
-                persistent_entry_digest(snippet, space, objective)
+                _entry_digest(key, space, objective)
             )
             if stored is not None:
                 bucket[key] = stored
@@ -312,11 +325,14 @@ class OracleCache:
         return None
 
     def store(self, snippet: Snippet, space: ConfigurationSpace,
-              objective: Objective, entry: OracleEntry) -> OracleEntry:
-        self._bucket(space, objective)[snippet_cache_key(snippet)] = entry
+              objective: Objective, entry: OracleEntry, *,
+              _key: Optional[SnippetKey] = None) -> OracleEntry:
+        """Cache ``entry`` for ``snippet`` (``_key`` as in :meth:`lookup`)."""
+        key = snippet_cache_key(snippet) if _key is None else _key
+        self._bucket(space, objective)[key] = entry
         if self.store_backend is not None:
             self.store_backend.put(
-                persistent_entry_digest(snippet, space, objective), entry
+                _entry_digest(key, space, objective), entry
             )
         return entry
 
@@ -426,9 +442,11 @@ def build_oracle(
     ``lookup`` per snippet and one ``store`` per swept entry.  A repeat of
     a snippet still waiting to be swept is looked up once its entry is
     stored, so it counts as a hit, as it would have snippet by snippet.
+    Each snippet's cache key is computed once and handed to the cache.
     """
     snippets = list(snippets)
     entries: List[Optional[OracleEntry]] = [None] * len(snippets)
+    keys: List[SnippetKey] = []
     missed: List[int] = []
     repeats: List[int] = []
     if cache is None:
@@ -437,10 +455,11 @@ def build_oracle(
         pending = set()
         for i, snippet in enumerate(snippets):
             key = snippet_cache_key(snippet)
+            keys.append(key)
             if key in pending:
                 repeats.append(i)
                 continue
-            entries[i] = cache.lookup(snippet, space, objective)
+            entries[i] = cache.lookup(snippet, space, objective, _key=key)
             if entries[i] is None:
                 pending.add(key)
                 missed.append(i)
@@ -459,9 +478,11 @@ def build_oracle(
                                             objective)
     if cache is not None:
         for i in missed:
-            cache.store(snippets[i], space, objective, entries[i])
+            cache.store(snippets[i], space, objective, entries[i],
+                        _key=keys[i])
         for i in repeats:
-            entries[i] = cache.lookup(snippets[i], space, objective)
+            entries[i] = cache.lookup(snippets[i], space, objective,
+                                      _key=keys[i])
 
     table = OracleTable(objective_name=objective.name)
     for snippet, entry in zip(snippets, entries):

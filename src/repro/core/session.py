@@ -7,9 +7,11 @@ into an explicit state machine over the deployment data flow::
 
 Each phase is a public method, and all loop-carried state (the
 :class:`~repro.utils.records.RunLog`, the
-:class:`~repro.soc.energy.EnergyAccount`, the last observed counters, the
-accumulated Oracle energy and the step cursor) lives on the session object.
-That makes a policy run:
+:class:`~repro.soc.energy.EnergyAccount`, the executed configurations, the
+last observed counters, the accumulated Oracle energy and the step cursor)
+lives on the session object.  The log, one float64 array per column sized
+to the trace, is the only per-step store: no ``SnippetResult`` is kept
+once it has been observed.  That makes a policy run:
 
 * **resumable** — a session can be advanced one step (or one phase) at a
   time, inspected mid-run via :meth:`result`, and continued later;
@@ -49,11 +51,13 @@ from repro.soc.counters import PerformanceCounters
 from repro.soc.energy import EnergyAccount
 from repro.soc.simulator import SnippetResult, SoCSimulator
 from repro.soc.snippet import Snippet, SnippetTrace
-from repro.utils.records import RunLog, RunRecord
+from repro.utils.records import RunLog
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 1
+#: Version 1 (a list-backed log plus every step's retained
+#: ``SnippetResult``) is still read: :func:`_upgrade_v1` converts it.
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
@@ -136,9 +140,10 @@ class PolicySession:
         self.name = name
         if reset_policy:
             policy.reset(initial_configuration)
-        self.log = RunLog()
+        self.log = RunLog(self._trace_len)
         self.account = EnergyAccount()
-        self.results: List[SnippetResult] = []
+        #: The executed (clamped) configuration of every observed step.
+        self.configurations: List[SoCConfiguration] = []
         self.counters: Optional[PerformanceCounters] = None
         self.oracle_energy = 0.0
         self._cursor = 0
@@ -256,10 +261,10 @@ class PolicySession:
 
     def observe(self, step: SessionStep, result: SnippetResult,
                 policy_observed: bool = False) -> None:
-        """Phase 4: feed the outcome back and append the log record.
+        """Phase 4: feed the outcome back and write the step's log row.
 
         The statement order matches the original loop exactly: policy
-        feedback, counters update, accounting, then the log record (with
+        feedback, counters update, accounting, then the log row (with
         the Oracle columns when a table is installed).  A fleet driver
         that already delivered the policy feedback through a batched
         ``fleet_observe`` passes ``policy_observed=True`` to skip the
@@ -275,8 +280,8 @@ class PolicySession:
             self.policy.observe(result)
         self.counters = result.counters
         self.account.add(result)
-        self.results.append(result)
         config = step.configuration
+        self.configurations.append(config)
         if step.configuration_index is not None:
             big_opp, little_opp = self._opp_floats(step.configuration_index)
         else:
@@ -298,9 +303,7 @@ class PolicySession:
             record["oracle_match"] = float(big_opp == oracle_big)
             record["oracle_energy_j"] = float(entry.best_result.energy_j)
             self.oracle_energy += entry.best_result.energy_j
-        # Per-step hot path: the record dict above is already coerced, so
-        # the RunRecord skips the generated __init__.
-        self.log.append_record(RunRecord._from_values(step.index, record))
+        self.log.append(step.index, **record)
         self._pending = None
         self._cursor += 1
 
@@ -323,8 +326,9 @@ class PolicySession:
     def result(self) -> "PolicyRunResult":
         """Snapshot of the run so far (complete or not).
 
-        The returned object shares the session's log/account/results, so a
-        snapshot taken mid-run keeps reflecting the session as it advances.
+        The returned object shares the session's log, account and
+        configuration list, so a result taken mid-run keeps reflecting the
+        session as it advances.
         """
         from repro.core.framework import PolicyRunResult
 
@@ -334,7 +338,7 @@ class PolicySession:
             account=self.account,
             oracle_energy_j=(self.oracle_energy
                              if self.oracle_table is not None else None),
-            results=self.results,
+            configurations=self.configurations,
         )
 
     def state_digest(self) -> str:
@@ -350,11 +354,7 @@ class PolicySession:
         digest = hashlib.sha256()
         digest.update(self.name.encode("utf-8"))
         digest.update(struct.pack("<q", self._cursor))
-        columns = self.log.to_dict() if len(self.log) else {}
-        for key in sorted(columns):
-            values = columns[key]
-            digest.update(key.encode("utf-8"))
-            digest.update(struct.pack(f"<{len(values)}d", *values))
+        self.log.update_digest(digest)
         digest.update(struct.pack(
             "<3d", self.account.total_energy_j, self.account.total_time_s,
             self.oracle_energy,
@@ -368,9 +368,11 @@ class PolicySession:
         """Full restorable session state as one picklable dict.
 
         Everything loop-carried is captured — policy (with its learned
-        state), space, trace, log, accounting, counters, cursor and the
-        pending step, if the session is paused mid-phase between decide
-        and observe.  Two references are deliberately excluded:
+        state), space, trace, log, accounting totals, the executed
+        configurations, counters, cursor and the pending step, if the
+        session is paused mid-phase between decide and observe.  No
+        per-step ``SnippetResult`` is kept, so none is pickled.  Two
+        references are deliberately excluded:
 
         * the **simulator** (shared infrastructure, supplied again at
           :meth:`restore`);
@@ -394,7 +396,7 @@ class PolicySession:
             "rng": self.rng if rng is _RNG_UNSET else rng,
             "log": self.log,
             "account": self.account,
-            "results": self.results,
+            "configurations": self.configurations,
             "counters": self.counters,
             "oracle_energy": self.oracle_energy,
             "cursor": self._cursor,
@@ -444,9 +446,10 @@ class PolicySession:
         """Verify and deserialize :meth:`snapshot_bytes` output.
 
         Raises :class:`SnapshotError` on a bad magic, a checksum mismatch
-        (truncated or bit-rotted snapshot), an unpicklable payload, or a
-        version mismatch — a damaged snapshot must never restore into a
-        silently wrong session.
+        (truncated or bit-rotted snapshot), an unpicklable payload, or an
+        unknown version — a damaged snapshot must never restore into a
+        silently wrong session.  A version-1 payload is converted to the
+        current layout here (see :func:`_upgrade_v1`).
         """
         header = len(_SNAPSHOT_MAGIC)
         if data[:header] != _SNAPSHOT_MAGIC:
@@ -462,9 +465,11 @@ class PolicySession:
             raise SnapshotError(f"snapshot payload failed to load: {exc}") \
                 from exc
         version = state.get("version") if isinstance(state, dict) else None
-        if version != SNAPSHOT_FORMAT_VERSION:
+        if version == 1:
+            _upgrade_v1(state)
+        elif version != SNAPSHOT_FORMAT_VERSION:
             raise SnapshotError(
-                f"snapshot format version {version!r} is not "
+                f"snapshot format version {version!r} is not 1 or "
                 f"{SNAPSHOT_FORMAT_VERSION}"
             )
         return state
@@ -504,7 +509,7 @@ class PolicySession:
         )
         session.log = state["log"]
         session.account = state["account"]
-        session.results = state["results"]
+        session.configurations = state["configurations"]
         session.counters = state["counters"]
         session.oracle_energy = state["oracle_energy"]
         session._cursor = state["cursor"]
@@ -524,3 +529,27 @@ class PolicySession:
         except OSError as exc:
             raise SnapshotError(f"snapshot {path} unreadable: {exc}") from exc
         return cls.restore(data, simulator, space_schedule=space_schedule)
+
+
+def _upgrade_v1(state: Dict[str, Any]) -> None:
+    """Convert a version-1 snapshot payload to the current layout in place.
+
+    Version 1 pickled the log as a list of
+    :class:`~repro.utils.records.RunRecord` rows, kept every step's
+    ``SnippetResult`` in ``results`` and again inside the account, and
+    carried per-application times and a per-component cache on the
+    account.  The rows are rewritten into a column log, each result
+    becomes its executed configuration, and the account keeps its totals
+    and per-application energies.
+    """
+    log = RunLog(len(state["snippets"]))
+    for record in vars(state["log"])["_records"]:
+        log.append(record.step, **record.values)
+    state["log"] = log
+    account = vars(state["account"])
+    for name in ("_results", "_per_application_time",
+                 "_per_component_cache", "_per_component_upto"):
+        account.pop(name, None)
+    state["configurations"] = [result.configuration
+                               for result in state.pop("results")]
+    state["version"] = SNAPSHOT_FORMAT_VERSION

@@ -58,14 +58,16 @@ class Figure3Result:
 
 def _near_optimal_series(study: OnlineAdaptationStudy, run, window: int,
                          tolerance: float = 0.02) -> np.ndarray:
-    """Moving-average rate of decisions within ``tolerance`` of Oracle energy."""
-    framework = study.framework
+    """Moving-average rate of decisions within ``tolerance`` of Oracle energy.
+
+    ``run`` must have executed the study's sequence.
+    """
+    simulator = study.framework.simulator
     flags = []
-    for record, result in zip(run.log, run.results):
-        oracle_energy = record.get("oracle_energy_j")
-        achieved = framework.simulator.evaluate_expected(
-            result.snippet, result.configuration
-        ).energy_j
+    for snippet, configuration, oracle_energy in zip(
+            study.sequence.snippets, run.configurations,
+            run.log.column("oracle_energy_j").tolist()):
+        achieved = simulator.evaluate_expected(snippet, configuration).energy_j
         flags.append(1.0 if achieved <= oracle_energy * (1.0 + tolerance) else 0.0)
     return trailing_nanmean(np.array(flags), window) * 100.0
 

@@ -23,9 +23,10 @@ Public surface:
   machine, flatline watchdog, quarantine and snapshot-restart recovery
   layered over the engine without disturbing its bitwise contract.
 * :class:`~repro.fleet.sharding.ShardedFleetEngine` — partition the
-  device list across one forked child process per shard (O(devices)
-  streamed summaries), bitwise identical to the single-process engine
-  and invariant to the shard count.
+  device list across one forked child process per shard (one
+  :class:`~repro.fleet.sharding.ShardDeviceSummary` per device sent
+  back), bitwise identical to the single-process engine and invariant to
+  the shard count.
 """
 
 from repro.fleet.device import (

@@ -19,13 +19,13 @@ own.  The design goals, in order:
   own noise, in parallel with the other shards.  The pipe carries only
   the ready/go/done signals and the final aggregates.  Where fork is
   unavailable the same arguments are pickled as one tuple.
-* **O(devices) fleet memory** — ``collect="summaries"`` replaces each
-  shard session's :class:`~repro.utils.records.RunLog` with a
-  streaming accumulator (:class:`_StreamingRunLog`) holding a constant
-  number of scalars per device, and discards the per-step
-  ``SnippetResult`` objects, so shard memory never grows with the trace
-  length.  ``collect="logs"`` returns full column-oriented log dicts for
-  the equivalence suites.
+* **Small replies** — a shard session keeps no per-step objects: its
+  :class:`~repro.utils.records.RunLog` is a few float64 arrays sized to
+  its trace.  Each device is summarised from that log
+  (:meth:`ShardDeviceSummary.of_session`, which the in-process fleet
+  experiment uses too), and ``collect="summaries"`` sends back only
+  those scalars.  ``collect="logs"`` adds each device's full
+  column-oriented log dict for the equivalence suites.
 
 Shard protocol (two-phase, so benchmarks can time pure stepping): each
 child builds its engine and answers ``("ready",)``; the parent then
@@ -47,12 +47,10 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 import multiprocessing
 import numpy as np
 
+from repro.core.session import PolicySession
 from repro.fleet.device import DeviceSpec, FleetBuildWarning, build_fleet
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SoCSimulator
-
-#: Accuracy smoothing window mirrored from ``PolicyRunResult.final_accuracy``.
-_ACCURACY_WINDOW = 10
 
 # Fork keeps shard start cheap and hands each child its devices without
 # pickling; fall back to the platform default where fork is unavailable
@@ -64,92 +62,19 @@ else:  # pragma: no cover - non-fork platforms
 
 
 # --------------------------------------------------------------------- #
-# Streaming per-session accumulators (collect="summaries")
-# --------------------------------------------------------------------- #
-class _DiscardList(list):
-    """List stand-in that drops appends (bounds live objects per step)."""
-
-    __slots__ = ()
-
-    def append(self, item: Any) -> None:
-        pass
-
-    def extend(self, items: Any) -> None:
-        pass
-
-
-class _StreamingRunLog:
-    """O(1)-memory ``RunLog`` stand-in for summary-mode shard sessions.
-
-    Implements exactly the surface :meth:`~repro.core.session
-    .PolicySession.observe` touches (``append_record``/``len``) while
-    accumulating the three log-derived summary statistics:
-
-    * ``len(log)`` — a running count.
-    * ``throttled_steps`` — a running sum of the 0/1 ``throttled``
-      column; 0/1 sums are exact integers in float64, so the total is
-      bitwise equal to ``np.nansum`` over the materialised column.
-    * ``final_accuracy`` — the last element of ``trailing_nanmean(
-      oracle_match, window) * 100``.  The trailing window only ever needs
-      the last ``window`` values; for a 0/1 indicator series the window
-      sum and count are exact integers, so summing the retained tail
-      reproduces the cumsum-difference arithmetic bitwise.
-    """
-
-    __slots__ = ("count", "throttled_sum", "window", "tail", "any_match")
-
-    def __init__(self, window: int = _ACCURACY_WINDOW) -> None:
-        self.count = 0
-        self.throttled_sum = 0.0
-        self.window = window
-        self.tail: List[float] = []
-        self.any_match = False
-
-    def append_record(self, record: Any) -> Any:
-        self.count += 1
-        values = record.values
-        throttled = values.get("throttled")
-        if throttled is not None and throttled == throttled:
-            self.throttled_sum += throttled
-        match = values.get("oracle_match", float("nan"))
-        if match == match:
-            self.any_match = True
-        tail = self.tail
-        tail.append(match)
-        if len(tail) > self.window:
-            del tail[0]
-        return record
-
-    def __len__(self) -> int:
-        return self.count
-
-    def final_accuracy(self) -> float:
-        """Mirror of ``trailing_nanmean(matches, window)[-1] * 100``."""
-        total = 0.0
-        count = 0
-        for value in self.tail:
-            if value == value:
-                total += value
-                count += 1
-        if count == 0:
-            return float("nan")
-        return (total / count) * 100.0
-
-
-# --------------------------------------------------------------------- #
-# Per-device summaries streamed back from the shards
+# Per-device summaries sent back from the shards
 # --------------------------------------------------------------------- #
 @dataclass
 class ShardDeviceSummary:
-    """One device's aggregate outcome, streamed back from its shard.
+    """One device's aggregate outcome, sent back from its shard.
 
-    Every field is bitwise identical to what the single-process engine's
-    :class:`~repro.core.framework.PolicyRunResult` would yield: the
-    totals come from the same :class:`~repro.soc.energy.EnergyAccount`
-    accumulation, ``final_accuracy`` from the streaming twin of the
-    trailing-window smoothing, and :attr:`normalized_energy` applies the
-    same guard/arithmetic.  ``log`` carries the full column-oriented log
-    dict under ``collect="logs"`` (``None`` in summary mode).
+    :meth:`of_session` reads every field from the session's
+    :class:`~repro.core.framework.PolicyRunResult` (its log and
+    :class:`~repro.soc.energy.EnergyAccount`), so a summary is the same
+    whichever process ran the session; :attr:`normalized_energy` applies
+    the run's guard/arithmetic.  ``final_accuracy`` is NaN for a run
+    without Oracle decisions.  ``log`` carries the full column-oriented
+    log dict under ``collect="logs"`` (``None`` in summary mode).
     """
 
     name: str
@@ -161,6 +86,26 @@ class ShardDeviceSummary:
     oracle_energy_j: Optional[float]
     final_accuracy: float
     log: Optional[Dict[str, List[float]]] = None
+
+    @classmethod
+    def of_session(cls, session: PolicySession,
+                   with_log: bool = False) -> "ShardDeviceSummary":
+        """Summarise ``session``'s run so far from its log and account."""
+        run = session.result()
+        matches = run.log.column("oracle_match")
+        throttled = run.log.column("throttled", default=0.0)
+        return cls(
+            name=session.name,
+            policy_name=run.policy_name,
+            steps=len(run.log),
+            throttled_steps=int(np.nansum(throttled)),
+            total_energy_j=run.total_energy_j,
+            total_time_s=run.total_time_s,
+            oracle_energy_j=run.oracle_energy_j,
+            final_accuracy=(run.final_accuracy()
+                            if np.any(~np.isnan(matches)) else float("nan")),
+            log=run.log.to_dict() if with_log else None,
+        )
 
     @property
     def normalized_energy(self) -> float:
@@ -181,70 +126,24 @@ def _prepare_shard(base_space: ConfigurationSpace, simulator: SoCSimulator,
         batch_decide=batch_decide, batch_execute=batch_execute,
         validate=False,
     )
-    sessions = engine.sessions
-    streams: List[Optional[_StreamingRunLog]] = [None] * len(sessions)
-    if collect == "summaries":
-        for row, session in enumerate(sessions):
-            stream = _StreamingRunLog()
-            session.log = stream
-            session.results = _DiscardList()
-            # total_energy_j / total_time_s / per-application sums stay
-            # eagerly accumulated; only the per-component decomposition
-            # (unused by summaries) loses its retained results.
-            session.account._results = _DiscardList()
-            streams[row] = stream
     engine.prepare()
-    return {"engine": engine, "collect": collect, "streams": streams}
+    return {"engine": engine, "collect": collect}
 
 
 def _run_shard(pending: Dict[str, Any]) -> Dict[str, Any]:
     """Drive one prepared shard to completion (the ``go`` phase)."""
     engine = pending["engine"]
-    collect = pending["collect"]
-    summaries: List[Dict[str, Any]] = []
-    if collect == "summaries":
-        # Live objects per step are bounded (results discarded, log
-        # streamed), so reference counting alone reclaims everything and
-        # the cycle collector's periodic scans are pure overhead.  The
-        # collector stays off: the child exits once it has replied, and
-        # turning it back on would first scan every snippet the run built.
-        gc.disable()
-        while not engine.done:
-            engine.step()
-        for session, stream in zip(engine.sessions, pending["streams"]):
-            summaries.append({
-                "name": session.name,
-                "policy_name": session.policy.name,
-                "steps": len(stream),
-                "throttled_steps": int(stream.throttled_sum),
-                "total_energy_j": session.account.total_energy_j,
-                "total_time_s": session.account.total_time_s,
-                "oracle_energy_j": (session.oracle_energy
-                                    if session.oracle_table is not None
-                                    else None),
-                "final_accuracy": stream.final_accuracy(),
-                "log": None,
-            })
-    else:
-        runs = engine.run()
-        for session, run in zip(engine.sessions, runs):
-            matches = run.log.column("oracle_match")
-            has_matches = bool(np.any(~np.isnan(matches)))
-            throttled = run.log.column("throttled", default=0.0)
-            summaries.append({
-                "name": session.name,
-                "policy_name": run.policy_name,
-                "steps": len(run.log),
-                "throttled_steps": int(np.nansum(throttled)),
-                "total_energy_j": run.total_energy_j,
-                "total_time_s": run.total_time_s,
-                "oracle_energy_j": run.oracle_energy_j,
-                "final_accuracy": (run.final_accuracy()
-                                   if has_matches else float("nan")),
-                "log": run.log.to_dict(),
-            })
+    # A step leaves no cyclic garbage behind, so reference counting alone
+    # reclaims it and the cycle collector's periodic scans are pure
+    # overhead.  The collector stays off: the child exits once it has
+    # replied, and turning it back on would first scan every snippet the
+    # run built.
+    gc.disable()
+    engine.run()
+    with_log = pending["collect"] == "logs"
     return {
-        "devices": summaries,
+        "devices": [ShardDeviceSummary.of_session(session, with_log)
+                    for session in engine.sessions],
         "steps_executed": engine.steps_executed,
         "batched_decisions": engine.batched_decisions,
         "batched_executions": engine.batched_executions,
@@ -396,11 +295,10 @@ class ShardedFleetEngine:
     signal and gathers the results, so a benchmark can time pure
     lockstep stepping.  :meth:`run` is simply both.
 
-    ``collect="summaries"`` (default) streams back one
-    :class:`ShardDeviceSummary` per device — O(devices) memory
-    fleet-wide.  ``collect="logs"`` additionally materialises each
-    device's full log columns (equivalence suites only; memory grows
-    with trace length again).
+    ``collect="summaries"`` (default) sends back one
+    :class:`ShardDeviceSummary` per device.  ``collect="logs"``
+    additionally sends each device's full log columns (equivalence
+    suites only; the reply then grows with the trace length).
     """
 
     def __init__(
@@ -492,9 +390,7 @@ class ShardedFleetEngine:
             self.batched_decisions += result["batched_decisions"]
             self.batched_executions += result["batched_executions"]
             self.batched_observes += result["batched_observes"]
-            summaries.extend(
-                ShardDeviceSummary(**device) for device in result["devices"]
-            )
+            summaries.extend(result["devices"])
         return summaries
 
     def run(self) -> List[ShardDeviceSummary]:

@@ -2,13 +2,13 @@
 
 The experiments compare total energy over whole applications (Table II,
 Fig. 4) and over application sequences (Fig. 3), so the account keeps a
-per-application and per-component breakdown alongside the running totals.
+per-application breakdown alongside the running totals.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List
+from typing import Dict
 
 from repro.soc.simulator import SnippetResult
 
@@ -20,50 +20,12 @@ class EnergyAccount:
         self.total_energy_j: float = 0.0
         self.total_time_s: float = 0.0
         self._per_application_energy: Dict[str, float] = defaultdict(float)
-        self._per_application_time: Dict[str, float] = defaultdict(float)
-        # Per-component energy is derived lazily from the retained results
-        # (the per-result breakdown loop was the most expensive part of
-        # add(), and the decomposition is only read at reporting time).
-        # The fold order on demand is identical to accumulating inside
-        # add(), so the sums are bitwise unchanged.
-        self._per_component_cache: Dict[str, float] = {}
-        self._per_component_upto: int = 0
-        self._results: List[SnippetResult] = []
 
     def add(self, result: SnippetResult) -> None:
         energy = result.energy_j
-        time_s = result.execution_time_s
         self.total_energy_j += energy
-        self.total_time_s += time_s
-        app = result.snippet.application
-        self._per_application_energy[app] += energy
-        self._per_application_time[app] += time_s
-        self._results.append(result)
-
-    @property
-    def _per_component_energy(self) -> Dict[str, float]:
-        """Per-component sums, folded over results in arrival order."""
-        upto = self._per_component_upto
-        if upto < len(self._results):
-            per_component = defaultdict(float, self._per_component_cache)
-            for result in self._results[upto:]:
-                time_s = result.execution_time_s
-                for component, power in result.power_breakdown_w.items():
-                    per_component[component] += power * time_s
-            self._per_component_cache = dict(per_component)
-            self._per_component_upto = len(self._results)
-        return self._per_component_cache
-
-    def extend(self, results) -> None:
-        for result in results:
-            self.add(result)
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    @property
-    def results(self) -> List[SnippetResult]:
-        return list(self._results)
+        self.total_time_s += result.execution_time_s
+        self._per_application_energy[result.snippet.application] += energy
 
     @property
     def average_power_w(self) -> float:
@@ -74,18 +36,5 @@ class EnergyAccount:
     def application_energy_j(self, application: str) -> float:
         return self._per_application_energy.get(application, 0.0)
 
-    def application_time_s(self, application: str) -> float:
-        return self._per_application_time.get(application, 0.0)
-
     def per_application_energy(self) -> Dict[str, float]:
         return dict(self._per_application_energy)
-
-    def per_component_energy(self) -> Dict[str, float]:
-        return dict(self._per_component_energy)
-
-    @property
-    def energy_per_instruction_nj(self) -> float:
-        instructions = sum(r.snippet.n_instructions for r in self._results)
-        if instructions <= 0:
-            return 0.0
-        return self.total_energy_j / instructions * 1e9

@@ -1,127 +1,114 @@
-"""Light-weight run records used by simulators, controllers and experiments.
+"""Column-oriented run logs used by policy sessions and experiments.
 
-A :class:`RunRecord` is a single named observation (a dict of scalars), and a
-:class:`RunLog` is an append-only sequence of records with convenience
-accessors for turning the log into column arrays.  Experiments use these to
-collect time series (accuracy over time, per-app energies, ...) without
-depending on pandas.
+A :class:`RunLog` keeps one float64 array per named column plus the step
+index of every row, so a session's per-step values (energy, time, power,
+chosen OPPs, Oracle agreement, ...) live in a few arrays instead of one
+object per step.  Experiments read whole columns without depending on
+pandas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 
 @dataclass
 class RunRecord:
-    """One observation: a step index plus a mapping of named scalar values."""
+    """One row of a list-backed log: a step index plus named scalar values.
+
+    Logs no longer hold records; the class stays so that session snapshots
+    written while they did (format version 1) still unpickle.
+    """
 
     step: int
     values: Dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def _from_values(cls, step: int, values: Dict[str, float]) -> "RunRecord":
-        """Hot-path constructor bypassing the generated ``__init__``.
-
-        ``values`` must already be plain floats (the coercion
-        :meth:`RunLog.append` would apply is the caller's job).
-        """
-        record = cls.__new__(cls)
-        record.step = step
-        record.values = values
-        return record
-
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
 
     def get(self, key: str, default: float = float("nan")) -> float:
         return self.values.get(key, default)
 
 
 class RunLog:
-    """Append-only log of :class:`RunRecord` objects."""
+    """Append-only log of per-step float values, one array per column.
 
-    def __init__(self) -> None:
-        self._records: List[RunRecord] = []
+    ``capacity`` preallocates that many rows (a session passes its trace
+    length); appending past it doubles the arrays.  A column's array is
+    allocated, filled with NaN, on its first write, so a row that lacks a
+    column reads NaN there and a column no row wrote does not exist.
+    Columns keep the order of their first write.
+    """
 
-    def append(self, step: int, **values: float) -> RunRecord:
-        record = RunRecord(step=step, values={k: float(v) for k, v in values.items()})
-        self._records.append(record)
-        return record
+    def __init__(self, capacity: int = 0) -> None:
+        self._rows = 0
+        self._steps = np.empty(capacity)
+        self._columns: Dict[str, np.ndarray] = {}
+        # Rows that wrote NaN on purpose, per column: column() replaces
+        # only the NaN of rows that lack the column by its default.
+        self._nan_rows: Dict[str, List[int]] = {}
 
-    def append_record(self, record: RunRecord) -> RunRecord:
-        """Append a pre-built record.
+    def append(self, step: int, **values: float) -> None:
+        """Write one row: its step index and the values of some columns."""
+        row = self._rows
+        if row == len(self._steps):
+            self._grow()
+        self._steps[row] = step
+        columns = self._columns
+        for key, value in values.items():
+            column = columns.get(key)
+            if column is None:
+                column = columns[key] = np.full(len(self._steps), np.nan)
+            column[row] = value
+            if value != value:
+                self._nan_rows.setdefault(key, []).append(row)
+        self._rows = row + 1
 
-        Fast path for hot loops that already hold a values dict of plain
-        floats (the coercion :meth:`append` would apply must have been
-        done by the caller).
-        """
-        self._records.append(record)
-        return record
-
-    def extend(self, records: Sequence[RunRecord]) -> None:
-        self._records.extend(records)
+    def _grow(self) -> None:
+        capacity = max(8, 2 * len(self._steps))
+        steps = np.empty(capacity)
+        steps[:self._rows] = self._steps[:self._rows]
+        self._steps = steps
+        for key, column in self._columns.items():
+            grown = np.full(capacity, np.nan)
+            grown[:self._rows] = column[:self._rows]
+            self._columns[key] = grown
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[RunRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, index: int) -> RunRecord:
-        return self._records[index]
-
-    @property
-    def records(self) -> List[RunRecord]:
-        return list(self._records)
+        return self._rows
 
     def column(self, key: str, default: float = float("nan")) -> np.ndarray:
-        """Return the values of ``key`` across all records as an array."""
-        return np.array([r.get(key, default) for r in self._records], dtype=float)
+        """The values of ``key`` per row; ``default`` where a row lacks it."""
+        column = self._columns.get(key)
+        if column is None:
+            return np.full(self._rows, default, dtype=float)
+        values = column[:self._rows].copy()
+        if default == default:
+            missing = np.isnan(values)
+            missing[self._nan_rows.get(key, [])] = False
+            values[missing] = default
+        return values
 
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self._records], dtype=int)
-
-    def last(self) -> RunRecord:
-        if not self._records:
-            raise IndexError("RunLog is empty")
-        return self._records[-1]
-
-    def to_dict(self) -> Dict[str, List[float]]:
-        """Return the log as a column-oriented dictionary."""
-        keys: List[str] = []
-        for record in self._records:
-            for key in record.values:
-                if key not in keys:
-                    keys.append(key)
-        out: Dict[str, List[float]] = {"step": [float(r.step) for r in self._records]}
-        for key in keys:
-            out[key] = [r.get(key) for r in self._records]
+    def _filled(self) -> Dict[str, np.ndarray]:
+        """Views of the filled rows of ``step`` and of every column."""
+        out = {"step": self._steps[:self._rows]}
+        for key, column in self._columns.items():
+            out[key] = column[:self._rows]
         return out
 
-    def summary(self, key: str) -> Dict[str, float]:
-        """Return mean/min/max/std summary statistics for one column."""
-        col = self.column(key)
-        col = col[~np.isnan(col)]
-        if col.size == 0:
-            return {"mean": float("nan"), "min": float("nan"),
-                    "max": float("nan"), "std": float("nan")}
-        return {
-            "mean": float(np.mean(col)),
-            "min": float(np.min(col)),
-            "max": float(np.max(col)),
-            "std": float(np.std(col)),
-        }
+    def to_dict(self) -> Dict[str, List[float]]:
+        """Return the log as a column-oriented dictionary of float lists."""
+        return {key: values.tolist() for key, values in self._filled().items()}
 
+    def update_digest(self, digest) -> None:
+        """Feed every column into hash ``digest``, sorted by name.
 
-def merge_logs(logs: Mapping[str, RunLog], key: str) -> Dict[str, np.ndarray]:
-    """Extract column ``key`` from several named logs into one mapping."""
-    return {name: log.column(key) for name, log in logs.items()}
-
-
-def as_float_dict(values: Mapping[str, Any]) -> Dict[str, float]:
-    """Coerce a mapping of scalars to plain floats (useful for records)."""
-    return {k: float(v) for k, v in values.items()}
+        Each column contributes its UTF-8 name and its filled rows as
+        little-endian float64 bytes; an empty log contributes nothing.
+        """
+        if not self._rows:
+            return
+        columns = self._filled()
+        for key in sorted(columns):
+            digest.update(key.encode("utf-8"))
+            digest.update(columns[key].astype("<f8", copy=False).tobytes())

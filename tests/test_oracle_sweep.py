@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import oracle as oracle_module
 from repro.core.objectives import ALL_OBJECTIVES, Objective
 from repro.core.oracle import (
     OracleCache,
@@ -197,13 +198,13 @@ class _CountingCache(OracleCache):
         self.lookups = 0
         self.stores = 0
 
-    def lookup(self, snippet, space, objective):
+    def lookup(self, snippet, space, objective, **key):
         self.lookups += 1
-        return super().lookup(snippet, space, objective)
+        return super().lookup(snippet, space, objective, **key)
 
-    def store(self, snippet, space, objective, entry):
+    def store(self, snippet, space, objective, entry, **key):
         self.stores += 1
-        return super().store(snippet, space, objective, entry)
+        return super().store(snippet, space, objective, entry, **key)
 
 
 def _per_snippet_build(simulator, space, snippets, objective, cache):
@@ -255,6 +256,31 @@ def test_repeated_snippets_count_like_the_per_snippet_loop(
                                                             objective)
     assert ({name: _entry_bits(entry) for name, entry in table.entries.items()}
             == {name: _entry_bits(entry) for name, entry in expected.items()})
+
+
+@pytest.mark.parametrize("with_store", [False, True])
+def test_each_snippet_is_keyed_once(simulator, spaces, tmp_path, monkeypatch,
+                                    with_store):
+    """build_oracle hands each snippet's cache key to lookup and store
+    instead of letting them hash the snippet again."""
+    base = _snippets(5, seed=9)
+    snippets = [base[0], base[1], base[0], base[2], base[3], base[4], base[3]]
+    store = OracleStore(tmp_path / "store") if with_store else None
+    cache = OracleCache(store=store)
+    build_oracle(simulator, spaces["full"], [base[4]], ALL_OBJECTIVES["energy"],
+                 cache=cache)
+    keyed = []
+    real_key = oracle_module.snippet_cache_key
+
+    def counting_key(snippet):
+        keyed.append(snippet.name)
+        return real_key(snippet)
+
+    monkeypatch.setattr(oracle_module, "snippet_cache_key", counting_key)
+    build_oracle(simulator, spaces["full"], snippets, ALL_OBJECTIVES["energy"],
+                 cache=cache)
+    assert keyed == [snippet.name for snippet in snippets]
+    assert cache.stats()["misses"] == 1 + 4  # the warm-up, then 0, 1, 2, 3
 
 
 def test_store_tier_serves_a_fresh_cache(simulator, spaces, tmp_path):

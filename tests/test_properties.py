@@ -346,9 +346,10 @@ class TestOracleOptimality:
             oracle_energy = table.total_cost(snippets)
             assert oracle_energy <= run.total_energy_j * (1.0 + 1e-12)
             # Per snippet too: the entry is the minimum over the space.
-            for result in run.results:
-                entry = table.entry(result.snippet)
-                assert entry.best_cost <= result.energy_j * (1.0 + 1e-12)
+            assert len(run.log) == len(snippets)
+            for snippet, energy in zip(snippets, run.log.column("energy_j")):
+                entry = table.entry(snippet)
+                assert entry.best_cost <= energy * (1.0 + 1e-12)
 
     def test_restricted_oracle_never_beats_full(self, seed):
         rng = np.random.default_rng(seed)

@@ -9,7 +9,9 @@ closed-loop behaviour (which the golden traces also gate end to end).
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
-from repro.core.session import PolicySession, SnapshotError
+from repro.core.session import _SNAPSHOT_MAGIC, PolicySession, SnapshotError
 from repro.scenarios import (
     ScenarioTrace,
     ThrottleEvent,
@@ -276,6 +278,30 @@ class TestDurableSnapshots:
         with pytest.raises(SnapshotError, match="read"):
             PolicySession.load_snapshot(tmp_path / "absent.snapshot",
                                         noisy_simulator)
+
+    def test_midrun_snapshot_pickles_no_snippet_result(
+            self, noisy_simulator, space, snippet_trace):
+        """Per-step values live in the log's arrays, not in retained
+        ``SnippetResult`` objects, and still restore to the same run."""
+        full = self._fresh(noisy_simulator, space, snippet_trace)
+        full.run()
+        session = self._fresh(noisy_simulator, space, snippet_trace)
+        for _ in range(len(snippet_trace) // 2):
+            session.advance()
+        data = session.snapshot_bytes()
+
+        class ClassRecorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                found.add(name)
+                return super().find_class(module, name)
+
+        found = set()
+        ClassRecorder(io.BytesIO(data[len(_SNAPSHOT_MAGIC) + 32:])).load()
+        assert "RunLog" in found
+        assert "SnippetResult" not in found
+        restored = PolicySession.restore(data, noisy_simulator)
+        restored.run()
+        assert restored.state_digest() == full.state_digest()
 
     def test_restore_preserves_policy_space_identity(
             self, noisy_simulator, space, snippet_trace):

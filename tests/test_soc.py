@@ -448,13 +448,11 @@ class TestEnergyAccount:
         config = space.default_configuration()
         r1 = simulator.evaluate_expected(compute_snippet, config)
         r2 = simulator.evaluate_expected(memory_snippet, config)
-        account.extend([r1, r2])
-        assert len(account) == 2
+        account.add(r1)
+        account.add(r2)
         assert account.total_energy_j == pytest.approx(r1.energy_j + r2.energy_j)
         assert account.application_energy_j("compute") == pytest.approx(r1.energy_j)
         assert account.average_power_w > 0
-        assert account.energy_per_instruction_nj > 0
-        assert set(account.per_component_energy()) >= {"base", "memory"}
 
 
 class TestGovernors:

@@ -1,17 +1,19 @@
 """Tests for repro.utils (rng, records, tables) and the package exports."""
 
+import hashlib
 import importlib
 import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro
 
-from repro.utils.records import RunLog, RunRecord, as_float_dict, merge_logs
+from repro.utils.records import RunLog, RunRecord
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
 from repro.utils.tables import format_mapping, format_table
+from reference.run_log import ReferenceRunLog, reference_digest
 
 
 class TestRng:
@@ -54,25 +56,6 @@ class TestRunLog:
         assert log.column("energy").tolist() == [1.0, 3.0]
         assert np.isnan(log.column("power")[1])
 
-    def test_steps_and_last(self):
-        log = RunLog()
-        log.append(0, x=1.0)
-        log.append(5, x=2.0)
-        assert log.steps().tolist() == [0, 5]
-        assert log.last()["x"] == 2.0
-
-    def test_last_on_empty_raises(self):
-        with pytest.raises(IndexError):
-            RunLog().last()
-
-    def test_summary(self):
-        log = RunLog()
-        for i in range(5):
-            log.append(i, value=float(i))
-        summary = log.summary("value")
-        assert summary["mean"] == pytest.approx(2.0)
-        assert summary["min"] == 0.0 and summary["max"] == 4.0
-
     def test_to_dict_round_trip(self):
         log = RunLog()
         log.append(0, a=1.0, b=2.0)
@@ -81,29 +64,85 @@ class TestRunLog:
         assert data["a"] == [1.0, 3.0]
         assert data["step"] == [0.0, 1.0]
 
-    def test_merge_logs(self):
-        log_a, log_b = RunLog(), RunLog()
-        log_a.append(0, y=1.0)
-        log_b.append(0, y=9.0)
-        merged = merge_logs({"a": log_a, "b": log_b}, "y")
-        assert merged["a"].tolist() == [1.0]
-        assert merged["b"].tolist() == [9.0]
-
     def test_record_get_default(self):
         record = RunRecord(step=0, values={"x": 1.0})
         assert record.get("missing", 7.0) == 7.0
 
-    def test_as_float_dict(self):
-        assert as_float_dict({"a": 1, "b": 2.5}) == {"a": 1.0, "b": 2.5}
 
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=30))
-    def test_summary_bounds_property(self, values):
-        log = RunLog()
-        for i, value in enumerate(values):
-            log.append(i, v=value)
-        summary = log.summary("v")
-        tolerance = 1e-12 + 1e-9 * abs(summary["mean"])
-        assert summary["min"] - tolerance <= summary["mean"] <= summary["max"] + tolerance
+_BASE_COLUMNS = ("energy_j", "time_s", "power_w", "big_opp", "little_opp")
+_ORACLE_COLUMNS = ("oracle_big_opp", "oracle_match", "oracle_energy_j")
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _session_like_rows(draw):
+    """Rows shaped like a session's: the base columns on every step, the
+    Oracle columns on some steps, ``throttled`` from some step on."""
+    n = draw(st.integers(0, 40))
+    throttled_from = draw(st.integers(0, n + 1))
+    rows = []
+    for row in range(n):
+        values = {key: draw(_ANY_FLOAT) for key in _BASE_COLUMNS}
+        if row >= throttled_from:
+            values["throttled"] = float(draw(st.booleans()))
+        if draw(st.booleans()):
+            values.update({key: draw(_ANY_FLOAT) for key in _ORACLE_COLUMNS})
+        rows.append((draw(st.integers(0, 2**40)), values))
+    return rows
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_logs_equal(log, reference):
+    """Equal to_dict (keys in order, values bitwise), column(key, default)
+    and digest bytes."""
+    got, want = log.to_dict(), reference.to_dict()
+    assert list(got) == list(want)
+    for key in want:
+        assert _bits(got[key]) == _bits(want[key]), key
+    for key in list(want) + ["never_written"]:
+        for default in (float("nan"), 0.0, -2.5):
+            assert (_bits(log.column(key, default))
+                    == _bits(reference.column(key, default))), (key, default)
+    digest, reference_hash = hashlib.sha256(), hashlib.sha256()
+    log.update_digest(digest)
+    reference_digest(reference, reference_hash)
+    assert digest.digest() == reference_hash.digest()
+
+
+class TestRunLogMatchesReference:
+    """The column-array RunLog against the list-of-records reference in
+    ``tests/reference/run_log.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_session_like_rows(), capacity=st.integers(0, 50))
+    def test_random_step_sequences(self, rows, capacity):
+        log, reference = RunLog(capacity), ReferenceRunLog()
+        for step, values in rows:
+            log.append(step, **values)
+            reference.append(step, **values)
+        assert len(log) == len(reference)
+        _assert_logs_equal(log, reference)
+
+    def test_throttled_from_a_later_step(self):
+        log, reference = RunLog(4), ReferenceRunLog()
+        for step in range(4):
+            values = {"energy_j": 1.0 + step}
+            if step >= 2:
+                values["throttled"] = 1.0
+            log.append(step, **values)
+            reference.append(step, **values)
+        assert list(log.to_dict()) == ["step", "energy_j", "throttled"]
+        assert log.column("throttled", 0.0).tolist() == [0.0, 0.0, 1.0, 1.0]
+        _assert_logs_equal(log, reference)
+
+    def test_empty_log(self):
+        log = RunLog(3)
+        assert len(log) == 0
+        assert log.to_dict() == {"step": []}
+        _assert_logs_equal(log, ReferenceRunLog())
 
 
 class TestTables:
