@@ -19,15 +19,21 @@ from __future__ import annotations
 
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+
+# The scalar reference kernels live next to the tests that pin them.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference.tree import (  # noqa: E402
+    ScalarDecisionTreeClassifier,
+    ScalarDecisionTreeRegressor,
+    predict_row,
     trees_identical,
 )
 
@@ -121,18 +127,16 @@ def test_bench_regression_tree_training(ml_fixture, perf_record, speedup_gate):
     """Vectorized regression split search: identical tree, >=3x faster."""
     x, y_reg, _, _ = ml_fixture
     assert trees_identical(
-        DecisionTreeRegressor(max_depth=8, split_search="vectorized").fit(x, y_reg),
-        DecisionTreeRegressor(max_depth=8, split_search="scalar").fit(x, y_reg),
+        DecisionTreeRegressor(max_depth=8).fit(x, y_reg),
+        ScalarDecisionTreeRegressor(max_depth=8).fit(x, y_reg),
     )
     if not speedup_gate:
         return
     scalar_s = _best_of(
-        2, lambda: DecisionTreeRegressor(max_depth=8,
-                                         split_search="scalar").fit(x, y_reg)
+        2, lambda: ScalarDecisionTreeRegressor(max_depth=8).fit(x, y_reg)
     )
     vectorized_s = _best_of(
-        3, lambda: DecisionTreeRegressor(max_depth=8,
-                                         split_search="vectorized").fit(x, y_reg)
+        3, lambda: DecisionTreeRegressor(max_depth=8).fit(x, y_reg)
     )
     speedup = scalar_s / vectorized_s
     perf_record["results"]["regression_fit"] = {
@@ -149,18 +153,16 @@ def test_bench_classification_tree_training(ml_fixture, perf_record,
     """Vectorized Gini split search: identical tree, >=3x faster."""
     x, _, y_clf, _ = ml_fixture
     assert trees_identical(
-        DecisionTreeClassifier(max_depth=8, split_search="vectorized").fit(x, y_clf),
-        DecisionTreeClassifier(max_depth=8, split_search="scalar").fit(x, y_clf),
+        DecisionTreeClassifier(max_depth=8).fit(x, y_clf),
+        ScalarDecisionTreeClassifier(max_depth=8).fit(x, y_clf),
     )
     if not speedup_gate:
         return
     scalar_s = _best_of(
-        1, lambda: DecisionTreeClassifier(max_depth=8,
-                                          split_search="scalar").fit(x, y_clf)
+        1, lambda: ScalarDecisionTreeClassifier(max_depth=8).fit(x, y_clf)
     )
     vectorized_s = _best_of(
-        3, lambda: DecisionTreeClassifier(max_depth=8,
-                                          split_search="vectorized").fit(x, y_clf)
+        3, lambda: DecisionTreeClassifier(max_depth=8).fit(x, y_clf)
     )
     speedup = scalar_s / vectorized_s
     perf_record["results"]["classification_fit"] = {
@@ -180,18 +182,18 @@ def test_bench_batch_predict(ml_fixture, perf_record, speedup_gate):
 
     np.testing.assert_array_equal(
         regressor.predict(queries),
-        np.array([regressor._predict_row(r) for r in queries]),
+        np.array([predict_row(regressor, r) for r in queries]),
     )
     np.testing.assert_array_equal(
         classifier.predict(queries),
         classifier.classes_[
-            np.array([int(classifier._predict_row(r)) for r in queries])
+            np.array([int(predict_row(classifier, r)) for r in queries])
         ],
     )
     if not speedup_gate:
         return
     row_walk_s = _best_of(
-        1, lambda: np.array([regressor._predict_row(r) for r in queries])
+        1, lambda: np.array([predict_row(regressor, r) for r in queries])
     )
     batch_s = _best_of(3, regressor.predict, queries)
     speedup = row_walk_s / batch_s

@@ -62,9 +62,6 @@ SNAPSHOT_FORMAT_VERSION = 2
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
 
-#: Sentinel distinguishing "no rng override" from an explicit ``None``.
-_RNG_UNSET = object()
-
 
 class SnapshotError(RuntimeError):
     """A serialized session snapshot failed verification or restore."""
@@ -114,6 +111,10 @@ class PolicySession:
     simulator for every executed snippet; sessions that will be advanced
     in lockstep by a fleet driver must each own an independent generator
     (a shared stream would interleave differently than sequential runs).
+    The session is the one owner of its stream's position: a fleet driver
+    pre-draws the rest of it through :meth:`predraw_noise`, and
+    :meth:`sequential_rng` still answers where sequential stepping would
+    have left it.
     """
 
     def __init__(
@@ -149,6 +150,8 @@ class PolicySession:
         self._cursor = 0
         self._pending: Optional[SessionStep] = None
         self._opp_columns: Optional[Tuple[List[float], List[float]]] = None
+        #: (bit-generator state, cursor) before the last pre-draw, if any.
+        self._noise_origin: Optional[Tuple[dict, int]] = None
 
     # ------------------------------------------------------------------ #
     # State inspection
@@ -308,6 +311,42 @@ class PolicySession:
         self._cursor += 1
 
     # ------------------------------------------------------------------ #
+    # Measurement-noise stream
+    # ------------------------------------------------------------------ #
+    def predraw_noise(self, scale: float) -> np.ndarray:
+        """Draw the noise of every remaining step at once (fleet path).
+
+        Returns the ``(remaining steps, 2)`` normals the scalar path would
+        draw — time then power for each step, in step order — starting
+        from :meth:`sequential_rng`, so a second pre-draw over the same
+        session continues the same stream.  The generator's state and the
+        cursor before the draw are recorded for :meth:`sequential_rng`.
+        Drive the session through the fleet engine afterwards: a scalar
+        :meth:`execute` would draw past the pre-drawn steps.
+        """
+        self.rng = self.sequential_rng()
+        self._noise_origin = (self.rng.bit_generator.state, self._cursor)
+        return self.rng.normal(0.0, scale,
+                               size=(self._trace_len - self._cursor, 2))
+
+    def sequential_rng(self) -> Optional[np.random.Generator]:
+        """The noise generator as sequential stepping would leave it.
+
+        That is ``rng`` itself unless :meth:`predraw_noise` ran.  Then a
+        new generator is restored to the recorded state and draws the
+        completed steps' normals (numpy fills them from the bit stream in
+        order, and a draw consumes the same bits whatever its scale).
+        """
+        if self._noise_origin is None:
+            return self.rng
+        state, start = self._noise_origin
+        bit_generator = type(self.rng.bit_generator)()
+        bit_generator.state = state
+        rng = np.random.Generator(bit_generator)
+        rng.standard_normal((self._cursor - start, 2))
+        return rng
+
+    # ------------------------------------------------------------------ #
     # Drivers
     # ------------------------------------------------------------------ #
     def advance(self) -> SnippetResult:
@@ -364,27 +403,25 @@ class PolicySession:
     # ------------------------------------------------------------------ #
     # Durable snapshots
     # ------------------------------------------------------------------ #
-    def snapshot_state(self, rng: Any = _RNG_UNSET) -> Dict[str, Any]:
+    def snapshot_state(self) -> Dict[str, Any]:
         """Full restorable session state as one picklable dict.
 
         Everything loop-carried is captured — policy (with its learned
         state), space, trace, log, accounting totals, the executed
         configurations, counters, cursor and the pending step, if the
         session is paused mid-phase between decide and observe.  No
-        per-step ``SnippetResult`` is kept, so none is pickled.  Two
-        references are deliberately excluded:
+        per-step ``SnippetResult`` is kept, so none is pickled, and the
+        trace pickles its arrays plus only the snippet objects it was
+        handed (rows it built are rebuilt when next read).  The noise
+        generator is stored as :meth:`sequential_rng`, so a session whose
+        stream a fleet engine pre-drew resumes with the sequential draws.
+        Two references are deliberately excluded:
 
         * the **simulator** (shared infrastructure, supplied again at
           :meth:`restore`);
         * the **space_schedule** (a closure over the live space object;
           rebuild it over the restored session's ``.space`` — see
           :meth:`restore`).
-
-        ``rng`` overrides the stored noise generator.  A session adopted
-        for batched execution by the fleet engine has had its private
-        stream pre-drawn to the end of the trace; pass
-        :meth:`~repro.fleet.engine.FleetEngine.sequential_rng_state` so
-        the snapshot resumes with sequential-equivalent draws.
         """
         return {
             "version": SNAPSHOT_FORMAT_VERSION,
@@ -393,7 +430,7 @@ class PolicySession:
             "space": self.space,
             "snippets": self.snippets,
             "oracle_table": self.oracle_table,
-            "rng": self.rng if rng is _RNG_UNSET else rng,
+            "rng": self.sequential_rng(),
             "log": self.log,
             "account": self.account,
             "configurations": self.configurations,
@@ -403,19 +440,21 @@ class PolicySession:
             "pending": self._pending,
         }
 
-    def snapshot_bytes(self, rng: Any = _RNG_UNSET) -> bytes:
+    def snapshot_bytes(self) -> bytes:
         """Serialized, checksummed snapshot (magic + SHA-256 + payload).
 
         One ``pickle.dumps`` over the whole state dict preserves the
         object-identity invariants restore depends on (``policy.space is
-        session.space``, ``pending.snippet is snippets[pending.index]``).
+        session.space``, and a handed snippet object stays the trace's
+        row).  A pending step's snippet that the trace built itself is
+        pickled with the step; :meth:`restore` points the step at the
+        restored trace's row instead.
         """
-        payload = pickle.dumps(self.snapshot_state(rng),
+        payload = pickle.dumps(self.snapshot_state(),
                                protocol=pickle.HIGHEST_PROTOCOL)
         return _SNAPSHOT_MAGIC + hashlib.sha256(payload).digest() + payload
 
-    def save_snapshot(self, path: Union[str, Path],
-                      rng: Any = _RNG_UNSET) -> Path:
+    def save_snapshot(self, path: Union[str, Path]) -> Path:
         """Write a durable snapshot to ``path`` (atomic temp + rename).
 
         Readers only ever see a fully written snapshot: the bytes go to a
@@ -424,7 +463,7 @@ class PolicySession:
         snapshot intact.
         """
         path = Path(path)
-        data = self.snapshot_bytes(rng)
+        data = self.snapshot_bytes()
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
@@ -489,10 +528,12 @@ class PolicySession:
         session's ``.space`` (e.g. ``make_space_schedule(session.space,
         trace)``) — a schedule closed over the original space object would
         make every step compare as throttled against the unpickled space.
-        Snapshots whose ``snippets`` is a plain ``list`` of snippets (the
-        layout before traces were held as arrays) restore the same way: the
-        list is wrapped, keeping its objects, so the pending step's snippet
-        is still ``snippets[pending.index]``.
+        A pending step's snippet becomes the restored trace's row again
+        (``pending.snippet is snippets[pending.index]``), whether the trace
+        was handed that object or builds the row anew.  Snapshots whose
+        ``snippets`` is a plain ``list`` of snippets (the layout before
+        traces were held as arrays) restore the same way: the list is
+        wrapped, keeping its objects.
         """
         if isinstance(state, (bytes, bytearray)):
             state = cls.unpack_snapshot(bytes(state))
@@ -513,7 +554,9 @@ class PolicySession:
         session.counters = state["counters"]
         session.oracle_energy = state["oracle_energy"]
         session._cursor = state["cursor"]
-        session._pending = state["pending"]
+        pending = session._pending = state["pending"]
+        if pending is not None:
+            pending.snippet = session.snippets[pending.index]
         return session
 
     @classmethod

@@ -51,7 +51,11 @@ the pending step, so restricted-space windows stay bitwise faithful.
 
 Once :meth:`run` (or :meth:`prepare`) has adopted a session for batched
 execution, its noise stream has been pre-drawn — keep driving it through
-the engine rather than calling ``session.execute`` directly.
+an engine rather than calling ``session.execute`` directly.  The session
+itself records where the pre-draw started
+(:meth:`~repro.core.session.PolicySession.predraw_noise`), so a snapshot
+taken out of a running engine, or a new engine built over the same
+sessions, continues from the sequential stream position.
 """
 
 from __future__ import annotations
@@ -80,12 +84,14 @@ class _ExecGroup:
     the group survives pickling and can be rebuilt across process
     boundaries (sharded fleets).  ``fleet_rows`` maps each group row to
     the session's row in the owning engine's session list.  One step of
-    the group gathers both tensors with a single fancy index.
+    the group gathers both tensors with a single fancy index.  Each
+    session pre-draws its own noise rows and keeps their origin, so the
+    group holds no generator state.
     """
 
     __slots__ = ("simulator", "sessions", "fleet_rows", "chars", "noise",
                  "uniform_soa", "active_members", "active_rows",
-                 "active_fleet_rows", "initial_rng")
+                 "active_fleet_rows")
 
     def __init__(self, simulator: SoCSimulator,
                  sessions: List[PolicySession],
@@ -93,12 +99,6 @@ class _ExecGroup:
         self.simulator = simulator
         self.sessions = sessions
         self.fleet_rows = fleet_rows
-        # Generator state of each session *before* its noise stream is
-        # pre-drawn below, keyed by the session's group row, with the step
-        # index the stream was positioned at.  FleetEngine
-        # .sequential_rng_state reconstructs the sequential-equivalent
-        # generator from it.
-        self.initial_rng: Dict[int, Tuple[dict, int]] = {}
         spaces = {session.space.content_key() for session in sessions}
         self.uniform_soa = (sessions[0].space.soa_view()
                             if len(spaces) == 1 else None)
@@ -116,18 +116,9 @@ class _ExecGroup:
             return
         self.noise = np.ones((len(sessions), t_max, 2))
         for row, session in enumerate(sessions):
-            remaining = len(session) - session.step_index
-            if remaining <= 0:
-                continue
-            # Exactly the scalar path's per-step draws: two normals per
-            # step (time then power), consumed in step order from the
-            # session's own generator, exponentiated elementwise.
-            start = session.step_index
-            self.initial_rng[row] = (
-                session.rng.bit_generator.state, start
-            )
-            self.noise[row, start:start + remaining] = np.exp(
-                session.rng.normal(0.0, noise_scale, size=(remaining, 2))
+            # Exactly the scalar path's per-step draws, exponentiated.
+            self.noise[row, session.step_index:len(session)] = np.exp(
+                session.predraw_noise(noise_scale)
             )
 
     def refresh(self) -> None:
@@ -182,19 +173,10 @@ class _ObserveGroup(_DecideGroup):
 class FleetEngine:
     """Advances a set of policy sessions in lockstep with cross-session batching."""
 
-    def __init__(
-        self,
-        sessions: Sequence[PolicySession],
-        batch_decide: bool = True,
-        batch_execute: bool = True,
-        batch_observe: bool = True,
-    ) -> None:
+    def __init__(self, sessions: Sequence[PolicySession]) -> None:
         self.sessions: List[PolicySession] = list(sessions)
         if not self.sessions:
             raise ValueError("FleetEngine needs at least one session")
-        self.batch_decide = bool(batch_decide)
-        self.batch_execute = bool(batch_execute)
-        self.batch_observe = bool(batch_observe)
         self.steps_executed = 0
         self.batched_executions = 0
         self.batched_decisions = 0
@@ -228,16 +210,12 @@ class FleetEngine:
         the session's clamp/throttle phase on the batched decisions before
         installing each pending step.
         """
-        if not self.batch_decide:
-            return None
         if session.policy.space is not session.space:
             return None
         return session.policy.fleet_decide_key()
 
     def _session_observe_key(self, session: PolicySession) -> Optional[Tuple]:
         """Batched-observe group key of ``session`` (None = scalar observe)."""
-        if not self.batch_observe:
-            return None
         if session.policy.space is not session.space:
             return None
         return session.policy.fleet_observe_key()
@@ -255,8 +233,6 @@ class FleetEngine:
         under an unconventional attribute name escape the heuristic
         aliasing check — give every device a generator of its own.
         """
-        if not self.batch_execute:
-            return False
         simulator = session.simulator
         if type(simulator).run_snippet is not SoCSimulator.run_snippet:
             return False
@@ -325,61 +301,6 @@ class FleetEngine:
         )
         return [session for session in self.sessions
                 if not self._execute_batchable(session, rng_users)]
-
-    def sequential_rng_state(
-        self, session: PolicySession
-    ) -> Optional[np.random.Generator]:
-        """Generator positioned as sequential scalar stepping would leave it.
-
-        Adopting a session for batched execution pre-draws its private
-        noise stream for the whole remaining trace at :meth:`prepare`, so
-        ``session.rng`` no longer reflects the session's *logical*
-        position.  For snapshotting an engine-resident session, this
-        rebuilds an equivalent generator: the pre-draw-time state is
-        restored into a fresh bit generator and exactly the draws of the
-        completed steps (two normals each, the scalar order) are consumed.
-        Scalar-execute and noise-free sessions return ``session.rng``
-        unchanged — their stream already is sequential.
-        """
-        self.prepare()
-        for group in self._exec_groups:
-            row = next((r for r, member in enumerate(group.sessions)
-                        if member is session), None)
-            if row is None:
-                continue
-            entry = group.initial_rng.get(row)
-            if entry is None:  # noise-free simulator: stream never touched
-                return session.rng
-            state, start = entry
-            bit_generator = type(session.rng.bit_generator)()
-            bit_generator.state = state
-            rng = np.random.Generator(bit_generator)
-            consumed = session._cursor - start
-            if consumed > 0:
-                # Same prefix consumption as the pre-draw (numpy fills the
-                # output sequentially from the bit stream), so the rebuilt
-                # generator sits exactly after the observed steps' draws.
-                rng.normal(0.0, group.simulator.noise_scale,
-                           size=(consumed, 2))
-            return rng
-        return session.rng
-
-    def release_sessions(self) -> List[PolicySession]:
-        """Detach every session with a sequential-equivalent noise stream.
-
-        Adopted sessions had their private generators pre-drawn to the end
-        of the trace at :meth:`prepare`; this resets each ``session.rng``
-        to :meth:`sequential_rng_state` so the sessions can be handed to a
-        *new* engine (or driven scalar) and continue bitwise identically
-        to an uninterrupted sequential run.  The control plane uses this
-        to rebuild the engine after a structural dispatch (e.g. a policy
-        swap).  This engine must be discarded afterwards — its pre-drawn
-        tensors no longer own the sessions' streams.
-        """
-        self.prepare()
-        for session in self.sessions:
-            session.rng = self.sequential_rng_state(session)
-        return self.sessions
 
     # ------------------------------------------------------------------ #
     # Lockstep stepping
@@ -509,7 +430,7 @@ class FleetEngine:
                                       self._scalar_execute):
             if session._pending is not None:
                 results_of[fleet_row] = session.execute(session._pending)
-        batch_observed: set = set()
+        observed_rows: set = set()
         fleet_row_of = self._fleet_row
         for group in self._observe_groups:
             members = group.active_members
@@ -525,9 +446,9 @@ class FleetEngine:
             for session, step, result in zip(members, steps, results):
                 session.observe(step, result, policy_observed=True)
             self.batched_observes += len(members)
-            batch_observed.update(member_rows)
+            observed_rows.update(member_rows)
         for fleet_row, session in zip(self._active_rows, self._active):
-            if fleet_row in batch_observed:
+            if fleet_row in observed_rows:
                 continue
             step = session._pending
             if step is not None:

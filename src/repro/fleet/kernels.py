@@ -164,10 +164,8 @@ def lockstep_execute(
 
     l2_misses = n_instr * memory_intensity / 1000.0
     external_requests = l2_misses * external_request_rate
-    utilizations, power_breakdown, total_power = (
-        simulator._batch_utilization_and_power(
-            opp_index, cores, busy, total_time, external_requests, n
-        )
+    utilizations, total_power = simulator._batch_utilization_and_power(
+        opp_index, cores, busy, total_time, external_requests, n
     )
 
     if noise_factors is None:
@@ -194,8 +192,6 @@ def lockstep_execute(
     dma_l = (n_instr * memory_access_rate).tolist()
     external_l = external_requests.tolist()
     util_l = {name: utilizations[name].tolist() for name in cluster_names}
-    breakdown_keys = list(power_breakdown)
-    breakdown_l = {key: power_breakdown[key].tolist() for key in breakdown_keys}
 
     little_util = util_l.get("little")
     big_util = util_l.get("big")
@@ -204,7 +200,6 @@ def lockstep_execute(
         little_util = zero
     if big_util is None:
         big_util = zero
-    breakdown_rows = zip(*(breakdown_l[key] for key in breakdown_keys))
     # Field values are valid by construction (they mirror the scalar path,
     # whose identical values pass the dataclass validation every step), so
     # the dataclasses are materialised through their _from_values fast
@@ -215,10 +210,10 @@ def lockstep_execute(
     results: List[SnippetResult] = []
     append = results.append
     for (snippet, config, time_s, power_w, energy_j, cycles_i, instr,
-         branch, l2, dma, external, u_little, u_big, breakdown) in zip(
+         branch, l2, dma, external, u_little, u_big) in zip(
             snippets, configurations, time_l, power_l, energy_l, cycles_l,
             instr_l, branch_l, l2_l, dma_l, external_l, little_util,
-            big_util, breakdown_rows):
+            big_util):
         counters = counters_from_values({
             "instructions_retired": instr,
             "cpu_cycles": cycles_i,
@@ -238,6 +233,5 @@ def lockstep_execute(
             "energy_j": energy_j,
             "average_power_w": power_w,
             "counters": counters,
-            "power_breakdown_w": dict(zip(breakdown_keys, breakdown)),
         }))
     return results

@@ -118,14 +118,10 @@ class ShardDeviceSummary:
 # Shard child
 # --------------------------------------------------------------------- #
 def _prepare_shard(base_space: ConfigurationSpace, simulator: SoCSimulator,
-                   devices: Sequence[DeviceSpec], collect: str,
-                   batch_decide: bool, batch_execute: bool) -> Dict[str, Any]:
+                   devices: Sequence[DeviceSpec],
+                   collect: str) -> Dict[str, Any]:
     """Build one shard's engine inside its child (the ``ready`` phase)."""
-    engine = build_fleet(
-        devices, simulator, base_space,
-        batch_decide=batch_decide, batch_execute=batch_execute,
-        validate=False,
-    )
+    engine = build_fleet(devices, simulator, base_space, validate=False)
     engine.prepare()
     return {"engine": engine, "collect": collect}
 
@@ -308,8 +304,6 @@ class ShardedFleetEngine:
         base_space: ConfigurationSpace,
         n_shards: int = 2,
         collect: str = "summaries",
-        batch_decide: bool = True,
-        batch_execute: bool = True,
         validate: bool = True,
     ) -> None:
         if collect not in ("summaries", "logs"):
@@ -326,8 +320,6 @@ class ShardedFleetEngine:
         self.simulator = simulator
         self.base_space = base_space
         self.collect = collect
-        self.batch_decide = bool(batch_decide)
-        self.batch_execute = bool(batch_execute)
         if validate:
             _warn_shard_hazards(self.devices, simulator)
         # Contiguous partition (device order preserved, numpy.array_split
@@ -362,7 +354,7 @@ class ShardedFleetEngine:
             for lo, hi in self.shard_bounds:
                 shards.append(_Shard((
                     self.base_space, self.simulator, self.devices[lo:hi],
-                    self.collect, self.batch_decide, self.batch_execute,
+                    self.collect,
                 )))
             for shard in shards:
                 shard.receive("preparation")

@@ -26,24 +26,23 @@ snapshot/restart):
   ``watchdog_rounds`` lockstep rounds), and is ``QUARANTINED`` on a crash
   or a sustained flatline.  Quarantine never disturbs the other devices:
   the supervisor simply stops driving the session.  A quarantined device
-  with restart budget left restores from its last durable snapshot
-  (checksummed, atomic temp+rename — :meth:`~repro.core.session
-  .PolicySession.save_snapshot`) and becomes ``RECOVERED``; replayed
-  steps re-execute deterministically, so a recovered device's final log
-  is bitwise identical to an uninterrupted run.
+  with restart budget left restores from its last snapshot (checksummed
+  bytes — :meth:`~repro.core.session.PolicySession.snapshot_bytes`) and
+  becomes ``RECOVERED``; replayed steps re-execute deterministically, so
+  a recovered device's final log is bitwise identical to an
+  uninterrupted run.
 
-* **Durable snapshots.**  A baseline snapshot is taken before the first
-  step and refreshed every ``snapshot_every`` completed steps — in memory
-  by default, or under ``snapshot_dir`` as checksummed snapshot files
-  that survive the process.
+* **Snapshots.**  A baseline snapshot is taken before the first step
+  and refreshed every ``snapshot_every`` completed steps, in memory.
+  Snapshot files that survive the process are the control plane's job
+  (:class:`~repro.service.run.ServiceRun`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.session import PolicySession
 from repro.fleet.device import DeviceSpec, build_fleet, device_session
@@ -93,7 +92,7 @@ class _Supervised:
 
     __slots__ = (
         "device", "session", "faults", "fired", "health", "history",
-        "stall_remaining", "restarts_used", "snapshot", "snapshot_path",
+        "stall_remaining", "restarts_used", "snapshot",
         "last_cursor", "no_progress_rounds", "crashes", "stalls",
         "replayed_steps", "wasted_energy_j", "corrupted_observations",
         "watchdog_flags",
@@ -110,7 +109,6 @@ class _Supervised:
         self.stall_remaining = 0
         self.restarts_used = 0
         self.snapshot: Optional[bytes] = None
-        self.snapshot_path: Optional[Path] = None
         self.last_cursor = session.step_index
         self.no_progress_rounds = 0
         self.crashes = 0
@@ -133,13 +131,14 @@ class FleetSupervisor:
     versus batched through the inner engine (everyone else); ``None`` or
     an empty plan supervises nothing and is bitwise identical to a bare
     :class:`~repro.fleet.engine.FleetEngine`.  ``snapshot_every`` is the
-    durable-snapshot cadence in completed steps (a baseline snapshot at
+    snapshot cadence in completed steps (a baseline snapshot at
     step 0 is always taken); ``watchdog_rounds`` is how many lockstep
     rounds a supervised device's log may flatline before it is flagged
     ``DEGRADED`` (quarantine follows at twice that); ``max_restarts``
     bounds snapshot-restarts per device — a device that exhausts it stays
-    ``QUARANTINED`` and the fleet completes without it.  ``snapshot_dir``
-    switches snapshots from in-memory bytes to on-disk checksummed files.
+    ``QUARANTINED`` and the fleet completes without it.  ``sessions``
+    adopts already-built sessions (one per device, the restore path)
+    instead of lowering the device specs.
     """
 
     def __init__(
@@ -148,12 +147,9 @@ class FleetSupervisor:
         simulator: SoCSimulator,
         base_space: ConfigurationSpace,
         plan: Optional[FaultPlan] = None,
-        batch_decide: bool = True,
-        batch_execute: bool = True,
         snapshot_every: int = 5,
         watchdog_rounds: int = 3,
         max_restarts: int = 2,
-        snapshot_dir: Optional[Union[str, Path]] = None,
         sessions: Optional[Sequence[PolicySession]] = None,
     ) -> None:
         self.devices: List[DeviceSpec] = list(devices)
@@ -181,11 +177,7 @@ class FleetSupervisor:
         self.snapshot_every = int(snapshot_every)
         self.watchdog_rounds = int(watchdog_rounds)
         self.max_restarts = int(max_restarts)
-        self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None \
-            else None
         self.rounds = 0
-        self._batch_decide = bool(batch_decide)
-        self._batch_execute = bool(batch_execute)
 
         if sessions is not None and len(sessions) != len(self.devices):
             raise ValueError(
@@ -222,14 +214,10 @@ class FleetSupervisor:
         elif sessions is not None:
             # Restored sessions: skip build_fleet's session construction
             # (and its hazard validation, which targets fresh fleets).
-            self.engine = FleetEngine(engine_sessions,
-                                      batch_decide=self._batch_decide,
-                                      batch_execute=self._batch_execute)
+            self.engine = FleetEngine(engine_sessions)
         else:
-            self.engine = build_fleet(engine_devices, simulator, base_space,
-                                      batch_decide=batch_decide,
-                                      batch_execute=batch_execute)
-        # Baseline durable snapshot: every supervised device can restart
+            self.engine = build_fleet(engine_devices, simulator, base_space)
+        # Baseline snapshot: every supervised device can restart
         # from step 0 even if it crashes before the first cadence point.
         for supervised in self._supervised:
             self._take_snapshot(supervised)
@@ -238,25 +226,13 @@ class FleetSupervisor:
     # Snapshots
     # ------------------------------------------------------------------ #
     def _take_snapshot(self, supervised: _Supervised) -> None:
-        session = supervised.session
-        if self.snapshot_dir is None:
-            supervised.snapshot = session.snapshot_bytes()
-        else:
-            path = self.snapshot_dir / f"{supervised.device.name}.snapshot"
-            session.save_snapshot(path)
-            supervised.snapshot_path = path
+        supervised.snapshot = supervised.session.snapshot_bytes()
 
     def _restore_snapshot(self, supervised: _Supervised) -> None:
-        """Replace the live session with its last durable snapshot."""
+        """Replace the live session with its last snapshot."""
         old = supervised.session
-        if self.snapshot_dir is None:
-            assert supervised.snapshot is not None
-            session = PolicySession.restore(supervised.snapshot,
-                                            self.simulator)
-        else:
-            assert supervised.snapshot_path is not None
-            session = PolicySession.load_snapshot(supervised.snapshot_path,
-                                                  self.simulator)
+        assert supervised.snapshot is not None
+        session = PolicySession.restore(supervised.snapshot, self.simulator)
         if supervised.device.scenario is not None:
             # The schedule is a closure over the space object; rebuild it
             # over the *restored* space so throttle-window identity
@@ -433,18 +409,6 @@ class FleetSupervisor:
                 return self._session_at(slot)
         raise KeyError(f"unknown device {name!r}")
 
-    def sequential_rng_state(self, session: PolicySession):
-        """Sequential-equivalent noise generator of one fleet session.
-
-        Engine-resident sessions delegate to :meth:`~repro.fleet.engine
-        .FleetEngine.sequential_rng_state` (their streams were pre-drawn
-        at adoption); supervised sessions step scalar, so their live
-        generator already is sequential.
-        """
-        if self.engine is not None:
-            return self.engine.sequential_rng_state(session)
-        return session.rng
-
     def health_map(self) -> Dict[str, DeviceHealth]:
         """Current health of every device, keyed by name."""
         return {device.name: self.health_of(device.name)
@@ -457,11 +421,11 @@ class FleetSupervisor:
         (``policy.space is session.space``), or the engine's batched
         decide would reason over the wrong configuration set.  For an
         engine-resident device the engine is rebuilt around the same
-        session objects: every session's generator is first restored to
-        its sequential-equivalent state (:meth:`~repro.fleet.engine
-        .FleetEngine.release_sessions`), so the new engine's pre-draw
-        reproduces exactly the draws the old engine had in store and all
-        other devices continue bitwise unchanged.
+        session objects.  Each session pre-draws for the new engine from
+        where sequential stepping would be (:meth:`~repro.core.session
+        .PolicySession.predraw_noise`), which reproduces exactly the draws
+        the old engine had in store, so all other devices continue bitwise
+        unchanged.
         """
         session = self.session_named(name)
         if session.pending is not None:
@@ -479,11 +443,8 @@ class FleetSupervisor:
         if kind == "engine":
             assert self.engine is not None
             old = self.engine
-            old.release_sessions()
             session.policy = policy
-            self.engine = FleetEngine(old.sessions,
-                                      batch_decide=self._batch_decide,
-                                      batch_execute=self._batch_execute)
+            self.engine = FleetEngine(old.sessions)
             # Keep cumulative batching counters meaningful across rebuilds.
             self.engine.steps_executed = old.steps_executed
             self.engine.batched_decisions = old.batched_decisions

@@ -9,11 +9,12 @@ with the durability and dispatch semantics of the control-plane service:
   round appends a :class:`~repro.service.protocol.StepBoundary` record.
 * **Snapshot rotation.**  Every ``snapshot_every`` rounds (and at round
   0), every session is written as a durable checksummed snapshot
-  (:meth:`~repro.core.session.PolicySession.save_snapshot`, with
-  engine-resident sessions snapshotted at their sequential-equivalent
-  generator state), and a :class:`~repro.service.protocol
-  .SnapshotManifest` naming the files and their sha256 digests is
-  journaled once all of them are atomically published.
+  (:meth:`~repro.core.session.PolicySession.save_snapshot`; a session
+  stores its generator where sequential stepping would have left it,
+  even when the fleet engine pre-drew its noise), and a
+  :class:`~repro.service.protocol.SnapshotManifest` naming the files and
+  their sha256 digests is journaled once all of them are atomically
+  published.
 * **Recovery invariant.**  ``kill -9`` at any instant, then
   :meth:`ServiceRun.recover`: the fleet is rebuilt deterministically
   from the genesis config, sessions restore from the newest manifest
@@ -526,9 +527,7 @@ class ServiceRun:
         files: List[Tuple[str, str, str]] = []
         for device, session in zip(self.devices, self.supervisor.sessions):
             path = rotation_dir / f"{device.name}.snapshot"
-            session.save_snapshot(
-                path, rng=self.supervisor.sequential_rng_state(session)
-            )
+            session.save_snapshot(path)
             files.append((
                 device.name,
                 str(path.relative_to(self.journal_dir)),

@@ -29,7 +29,7 @@ from counters, which makes the learning problem realistic but solvable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -57,7 +57,6 @@ class SnippetResult:
     energy_j: float
     average_power_w: float
     counters: PerformanceCounters
-    power_breakdown_w: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def _from_values(cls, values: Dict) -> "SnippetResult":
@@ -110,7 +109,6 @@ class SoCBatchResult:
     average_power_w: np.ndarray
     cpu_cycles: np.ndarray
     cluster_utilization: Dict[str, np.ndarray]
-    power_breakdown_w: Dict[str, np.ndarray]
     instructions_retired: float
     branch_mispredictions: float
     l2_cache_misses: float
@@ -156,7 +154,6 @@ class SoCBatchResult:
             energy_j=float(self.energy_j[i]),
             average_power_w=float(self.average_power_w[i]),
             counters=counters,
-            power_breakdown_w={k: float(v[i]) for k, v in self.power_breakdown_w.items()},
         )
 
     def __getitem__(self, index: int) -> SnippetResult:
@@ -267,7 +264,7 @@ class SoCSimulator:
 
         Consumes per-cluster activity (busy core-seconds, OPP indices,
         active cores) plus the total elapsed time and external-request
-        count, and returns ``(utilizations, power_breakdown, total_power)``
+        count, and returns ``(utilizations, total_power)``
         with exactly the scalar :meth:`run_snippet` arithmetic per element:
         the per-OPP coefficients come from :meth:`_cluster_sweep_tables`
         and every operation mirrors the scalar order, so the results are
@@ -281,9 +278,7 @@ class SoCSimulator:
         """
         cluster_names = self.platform.cluster_names
         utilizations: Dict[str, np.ndarray] = {}
-        power_breakdown: Dict[str, np.ndarray] = {}
         total_power = np.full(n, self.platform.base_power_w)
-        power_breakdown["base"] = np.full(n, self.platform.base_power_w)
         for name in cluster_names:
             spec = self.platform.cluster(name)
             active = np.minimum(np.maximum(cores[name], 0), spec.n_cores).astype(float)
@@ -300,16 +295,13 @@ class SoCSimulator:
                 * np.minimum(np.maximum(utilization, 0.0), 1.0)
             )
             static = static_coeff[opp_idx[name]] * active
-            power_breakdown[f"{name}_dynamic"] = dynamic
-            power_breakdown[f"{name}_static"] = static
             total_power = total_power + (dynamic + static)
 
         external_bytes = external_requests * BYTES_PER_EXTERNAL_REQUEST
         memory_traffic_gbps = external_bytes / total_time / 1e9
         memory_power = self.platform.memory_power_w_per_gbps * memory_traffic_gbps
-        power_breakdown["memory"] = memory_power
         total_power = total_power + memory_power
-        return utilizations, power_breakdown, total_power
+        return utilizations, total_power
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -338,9 +330,7 @@ class SoCSimulator:
             raise ValueError("snippet produced zero execution time")
 
         utilizations: Dict[str, float] = {}
-        power_breakdown: Dict[str, float] = {}
         total_power = self.platform.base_power_w
-        power_breakdown["base"] = self.platform.base_power_w
         for name, info in per_cluster.items():
             spec = self.platform.cluster(name)
             opp_index = config.opp_index(name)
@@ -352,8 +342,6 @@ class SoCSimulator:
             utilizations[name] = utilization
             dynamic = spec.dynamic_power_w(opp_index, active, utilization)
             static = spec.static_power_w(opp_index, active)
-            power_breakdown[f"{name}_dynamic"] = dynamic
-            power_breakdown[f"{name}_static"] = static
             total_power += dynamic + static
 
         l2_misses = snippet.n_instructions * chars.memory_intensity / 1000.0
@@ -362,7 +350,6 @@ class SoCSimulator:
             external_requests * BYTES_PER_EXTERNAL_REQUEST / total_time / 1e9
         )
         memory_power = self.platform.memory_power_w_per_gbps * memory_traffic_gbps
-        power_breakdown["memory"] = memory_power
         total_power += memory_power
 
         noise_rng = rng if rng is not None else self.rng
@@ -402,7 +389,6 @@ class SoCSimulator:
             energy_j=energy,
             average_power_w=measured_power,
             counters=counters,
-            power_breakdown_w=power_breakdown,
         )
 
     def evaluate_expected(self, snippet: Snippet, config: SoCConfiguration) -> SnippetResult:
@@ -454,7 +440,6 @@ class SoCSimulator:
             energy_j=energy,
             average_power_w=measured_power,
             counters=counters,
-            power_breakdown_w=dict(expected.power_breakdown_w),
         )
 
     def evaluate_expected_batch(
@@ -572,10 +557,8 @@ class SoCSimulator:
 
         l2_misses = n_instr * memory_intensity / 1000.0
         external_requests = l2_misses * external_request_rate
-        utilizations, power_breakdown, total_power = (
-            self._batch_utilization_and_power(
-                opp_idx, cores, busy, total_time, external_requests, shape
-            )
+        utilizations, total_power = self._batch_utilization_and_power(
+            opp_idx, cores, busy, total_time, external_requests, shape
         )
 
         energy = total_power * total_time
@@ -598,10 +581,6 @@ class SoCSimulator:
                 cpu_cycles=total_cycles[row],
                 cluster_utilization={
                     name: values[row] for name, values in utilizations.items()
-                },
-                power_breakdown_w={
-                    key: values[row] if values.ndim == 2 else values
-                    for key, values in power_breakdown.items()
                 },
                 instructions_retired=snippet.n_instructions,
                 branch_mispredictions=branch_l[row],

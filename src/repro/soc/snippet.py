@@ -164,10 +164,12 @@ class SnippetTrace(Sequence[Snippet]):
     The constructor checks every row against the :class:`Snippet` /
     :class:`SnippetCharacteristics` bounds in one vectorised pass.
     :meth:`from_snippets` wraps snippet objects that already exist and
-    keeps them as the trace's rows.
+    keeps them as the trace's rows.  A pickled (or deep-copied) trace
+    carries its arrays and only those handed objects; a row the trace
+    built itself is built again when the copy reads it.
     """
 
-    __slots__ = ("matrix", "applications", "indices", "_snippets")
+    __slots__ = ("matrix", "applications", "indices", "_snippets", "_given")
 
     def __init__(
         self,
@@ -191,25 +193,37 @@ class SnippetTrace(Sequence[Snippet]):
                 f"applications and indices, got {matrix.shape}, "
                 f"{len(applications)} and {len(indices)}"
             )
-        self._adopt(matrix, applications, indices, snippets)
+        self._adopt(matrix, applications, indices,
+                    None if snippets is None else list(snippets), None)
         self._validate()
 
     @classmethod
     def _from_parts(cls, matrix: np.ndarray, applications: Tuple[str, ...],
                     indices: Tuple[int, ...],
-                    snippets: Optional[List[Optional[Snippet]]]
+                    given: Optional[Sequence[Optional[Snippet]]],
+                    cached: Optional[Sequence[Optional[Snippet]]] = None,
                     ) -> "SnippetTrace":
-        """Trace over rows already known to be valid (no checks)."""
+        """Trace over rows already known to be valid (no checks).
+
+        ``given`` holds the handed objects (``None`` for rows without
+        one, or no list at all); ``cached`` the objects already built for
+        each row, which default to the handed ones.
+        """
         trace = cls.__new__(cls)
-        trace._adopt(matrix, applications, indices, snippets)
+        trace._adopt(matrix, applications, indices, given, cached)
         return trace
 
-    def _adopt(self, matrix, applications, indices, snippets) -> None:
+    def _adopt(self, matrix, applications, indices, given, cached) -> None:
         matrix.flags.writeable = False
         self.matrix = matrix
         self.applications = applications
         self.indices = indices
-        self._snippets = (list(snippets) if snippets is not None
+        if cached is None:
+            cached = given
+        if given is not None and given.count(None) == len(given):
+            given = None  # nothing was handed: keep no second list
+        self._given = given
+        self._snippets = (list(cached) if cached is not None
                           else [None] * len(indices))
 
     def _validate(self) -> None:
@@ -250,10 +264,15 @@ class SnippetTrace(Sequence[Snippet]):
     @classmethod
     def concat(cls, traces: Sequence["SnippetTrace"]) -> "SnippetTrace":
         """The rows of one or more ``traces``, one trace after the other."""
+        given = None
+        if any(trace._given is not None for trace in traces):
+            given = [snippet for trace in traces
+                     for snippet in (trace._given or [None] * len(trace))]
         return cls._from_parts(
             np.concatenate([trace.matrix for trace in traces]),
             sum((trace.applications for trace in traces), ()),
             sum((trace.indices for trace in traces), ()),
+            given,
             [snippet for trace in traces for snippet in trace._snippets],
         )
 
@@ -269,6 +288,7 @@ class SnippetTrace(Sequence[Snippet]):
             self.matrix[rows],
             gather(self.applications),
             gather(self.indices),
+            None if self._given is None else gather(self._given),
             gather(self._snippets),
         )
 
@@ -332,4 +352,4 @@ class SnippetTrace(Sequence[Snippet]):
 
     def __reduce__(self):
         return (SnippetTrace._from_parts,
-                (self.matrix, self.applications, self.indices, self._snippets))
+                (self.matrix, self.applications, self.indices, self._given))

@@ -31,6 +31,7 @@ from repro.fleet import (
     DeviceSpec,
     FaultPlan,
     FleetBuildWarning,
+    FleetEngine,
     FleetSupervisor,
     SnapshotRestart,
     StragglerStall,
@@ -265,19 +266,21 @@ class TestSupervisorInvariants:
         assert report.restarts == 1
         assert report.replayed_steps == 1  # snapshot at 3, reboot at 4
 
-    def test_on_disk_snapshots_recover_too(self, tmp_path, noisy_simulator,
-                                           space):
+    def test_crash_after_snapshot_point_recovers_bitwise(
+            self, noisy_simulator, space):
         reference = build_fleet(governor_devices(space), noisy_simulator,
                                 space).run()
         plan = FaultPlan(faults=(DeviceCrash("dev3", 4),))
         supervisor = FleetSupervisor(
             governor_devices(space), noisy_simulator, space, plan=plan,
-            snapshot_every=2, snapshot_dir=tmp_path / "snapshots",
+            snapshot_every=2,
         )
         results = supervisor.run()
         for ref, got in zip(reference, results):
             assert_logs_equal(ref, got)
-        assert (tmp_path / "snapshots" / "dev3.snapshot").exists()
+        report = {r.name: r for r in supervisor.reports()}["dev3"]
+        assert report.crashes == 1 and report.restarts == 1
+        assert report.replayed_steps == 0  # snapshot at 4, crash at 4
 
     def test_scenario_device_recovers_with_rebuilt_schedule(
             self, noisy_simulator, space):
@@ -395,7 +398,7 @@ class TestBuildFleetWarnings:
 
 
 # --------------------------------------------------------------------- #
-# Engine RNG reconstruction (snapshotting batched sessions)
+# Noise-stream position of engine-resident sessions
 # --------------------------------------------------------------------- #
 class TestSequentialRngState:
     def test_snapshot_of_batched_session_resumes_scalar_bitwise(
@@ -409,10 +412,23 @@ class TestSequentialRngState:
         for _ in range(3):
             engine.step()
         session = engine.sessions[1]
-        data = session.snapshot_bytes(
-            rng=engine.sequential_rng_state(session)
-        )
-        restored = PolicySession.restore(data, noisy_simulator)
+        restored = PolicySession.restore(session.snapshot_bytes(),
+                                         noisy_simulator)
         assert restored.step_index == 3
         resumed = restored.run()
         assert_logs_equal(sequential, resumed)
+
+    def test_second_engine_over_same_sessions_finishes_bitwise(
+            self, noisy_simulator, space):
+        """A new engine built mid-run over the sessions of a running one
+        pre-draws from their sequential stream positions."""
+        reference = build_fleet(governor_devices(space), noisy_simulator,
+                                space).run()
+        first = build_fleet(governor_devices(space), noisy_simulator, space)
+        for _ in range(3):
+            first.step()
+        second = FleetEngine(first.sessions)
+        results = second.run()
+        assert second.batched_executions > 0
+        for ref, got in zip(reference, results):
+            assert_logs_equal(ref, got)

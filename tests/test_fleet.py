@@ -104,7 +104,6 @@ class TestLockstepKernel:
             assert ref.execution_time_s == out.execution_time_s
             assert ref.energy_j == out.energy_j
             assert ref.average_power_w == out.average_power_w
-            assert ref.power_breakdown_w == out.power_breakdown_w
             assert ref.counters.as_dict() == out.counters.as_dict()
 
     def test_noise_free_kernel_matches_deterministic_run(self, platform, space):

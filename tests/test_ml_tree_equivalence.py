@@ -3,8 +3,9 @@
 The vectorized CART split search, the level-by-level batch ``predict`` /
 ``predict_proba`` traversal, the vectorized trailing moving average and the
 process-parallel multi-seed fan-out must all be *drop-in* replacements: every
-test here pins them bitwise (not approximately) against the retained scalar
-or sequential reference paths across regression and classification fixtures.
+test here pins them bitwise (not approximately) against the scalar
+references in ``tests/reference/tree.py`` or the sequential paths, across
+regression and classification fixtures.
 """
 
 from __future__ import annotations
@@ -17,12 +18,17 @@ from repro.ml.tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     _best_split_classification,
-    _best_split_classification_scalar,
     _best_split_regression,
-    _best_split_regression_scalar,
-    trees_identical,
 )
 from repro.utils.stats import trailing_nanmean
+from reference.tree import (
+    ScalarDecisionTreeClassifier,
+    ScalarDecisionTreeRegressor,
+    best_split_classification_scalar,
+    best_split_regression_scalar,
+    predict_row,
+    trees_identical,
+)
 
 
 def _regression_fixtures():
@@ -72,9 +78,8 @@ class TestRegressionSplitEquivalence:
     @pytest.mark.parametrize("name,x,y", _regression_fixtures())
     @pytest.mark.parametrize("params", _TREE_PARAMS)
     def test_fitted_trees_identical(self, name, x, y, params):
-        vectorized = DecisionTreeRegressor(split_search="vectorized",
-                                           **params).fit(x, y)
-        scalar = DecisionTreeRegressor(split_search="scalar", **params).fit(x, y)
+        vectorized = DecisionTreeRegressor(**params).fit(x, y)
+        scalar = ScalarDecisionTreeRegressor(**params).fit(x, y)
         assert trees_identical(vectorized, scalar)
 
     @pytest.mark.parametrize("min_leaf", [1, 2, 5])
@@ -83,23 +88,22 @@ class TestRegressionSplitEquivalence:
         x = rng.normal(size=(64, 5))
         y = x[:, 2] * 3.0 + rng.normal(size=64)
         assert (_best_split_regression(x, y, min_leaf)
-                == _best_split_regression_scalar(x, y, min_leaf))
+                == best_split_regression_scalar(x, y, min_leaf))
 
     def test_unsplittable_data_returns_no_feature(self):
         x = np.full((20, 3), 1.5)
         y = np.arange(20.0)
         feature, _, _ = _best_split_regression(x, y, 1)
         assert feature is None
-        assert _best_split_regression_scalar(x, y, 1)[0] is None
+        assert best_split_regression_scalar(x, y, 1)[0] is None
 
 
 class TestClassificationSplitEquivalence:
     @pytest.mark.parametrize("name,x,y", _classification_fixtures())
     @pytest.mark.parametrize("params", _TREE_PARAMS)
     def test_fitted_trees_identical(self, name, x, y, params):
-        vectorized = DecisionTreeClassifier(split_search="vectorized",
-                                            **params).fit(x, y)
-        scalar = DecisionTreeClassifier(split_search="scalar", **params).fit(x, y)
+        vectorized = DecisionTreeClassifier(**params).fit(x, y)
+        scalar = ScalarDecisionTreeClassifier(**params).fit(x, y)
         np.testing.assert_array_equal(vectorized.classes_, scalar.classes_)
         assert trees_identical(vectorized, scalar)
 
@@ -109,7 +113,7 @@ class TestClassificationSplitEquivalence:
         x = rng.normal(size=(70, 4))
         y = rng.integers(0, 5, size=70)
         assert (_best_split_classification(x, y, 5, min_leaf)
-                == _best_split_classification_scalar(x, y, 5, min_leaf))
+                == best_split_classification_scalar(x, y, 5, min_leaf))
 
     def test_class_counts_use_integer_dtype(self):
         """Class counts are exact integers — no float accumulation drift."""
@@ -120,10 +124,6 @@ class TestClassificationSplitEquivalence:
         assert np.issubdtype(model.root_.class_counts.dtype, np.integer)
         assert model.root_.class_counts.sum() == 50
 
-    def test_invalid_split_search_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(split_search="gpu")
-
 
 class TestBatchPredictEquivalence:
     @pytest.mark.parametrize("name,x,y", _regression_fixtures())
@@ -132,7 +132,7 @@ class TestBatchPredictEquivalence:
         rng = np.random.default_rng(5)
         queries = rng.normal(size=(200, x.shape[1]))
         batch = model.predict(queries)
-        reference = np.array([model._predict_row(row) for row in queries])
+        reference = np.array([predict_row(model, row) for row in queries])
         np.testing.assert_array_equal(batch, reference)
 
     @pytest.mark.parametrize("name,x,y", _classification_fixtures())
@@ -142,7 +142,7 @@ class TestBatchPredictEquivalence:
         queries = rng.normal(size=(200, x.shape[1]))
         batch = model.predict(queries)
         reference = model.classes_[
-            np.array([int(model._predict_row(row)) for row in queries])
+            np.array([int(predict_row(model, row)) for row in queries])
         ]
         np.testing.assert_array_equal(batch, reference)
 
@@ -152,7 +152,7 @@ class TestBatchPredictEquivalence:
         y = rng.normal(size=40)
         model = DecisionTreeRegressor(max_depth=4).fit(x, y)
         np.testing.assert_array_equal(
-            model.predict(x), np.array([model._predict_row(r) for r in x])
+            model.predict(x), np.array([predict_row(model, r) for r in x])
         )
 
     def test_predict_proba_matches_leaf_distributions(self):
@@ -191,7 +191,7 @@ class TestBatchPredictEquivalence:
         second = model.predict(x)
         assert not np.array_equal(first, second)
         np.testing.assert_array_equal(
-            second, np.array([model._predict_row(r) for r in x])
+            second, np.array([predict_row(model, r) for r in x])
         )
 
 

@@ -44,6 +44,7 @@ from repro.soc.platform import generic_big_little
 from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 from repro.workloads.graphics import figure5_benchmark_order, get_graphics_workload
+from reference.tree import ScalarDecisionTreeClassifier
 
 PROPERTY_SEEDS = list(range(8))
 
@@ -380,7 +381,9 @@ class TestTreeClassifierConsistency:
         labels = (np.digitize(features[:, 0] + 0.3 * features[:, 1],
                               np.linspace(-1.5, 1.5, n_classes - 1))
                   + 5) if n_classes > 1 else np.full(n_samples, 5)
-        tree = DecisionTreeClassifier(max_depth=6, split_search=split_search)
+        tree_class = {"vectorized": DecisionTreeClassifier,
+                      "scalar": ScalarDecisionTreeClassifier}[split_search]
+        tree = tree_class(max_depth=6)
         tree.fit(features, labels)
         probe = np.vstack([features, rng.normal(size=(20, 3))])
         predictions = tree.predict(probe)

@@ -303,6 +303,34 @@ class TestDurableSnapshots:
         restored.run()
         assert restored.state_digest() == full.state_digest()
 
+    def test_restored_trace_holds_only_the_pending_row(
+            self, noisy_simulator, space, snippet_trace):
+        """Rows the trace built are not pickled: the restored session has
+        built only its pending step's snippet, and it still ends on the
+        uninterrupted run's digest."""
+        def fresh_trace():
+            return SnippetTrace(snippet_trace.matrix,
+                                snippet_trace.applications,
+                                snippet_trace.indices)
+
+        full = self._fresh(noisy_simulator, space, fresh_trace())
+        full.run()
+        session = self._fresh(noisy_simulator, space, fresh_trace())
+        for _ in range(3):
+            session.advance()
+        session.decide()
+        restored = PolicySession.restore(session.snapshot_bytes(),
+                                         noisy_simulator)
+        built = [row for row, snippet
+                 in enumerate(restored.snippets._snippets)
+                 if snippet is not None]
+        assert built == [3]
+        pending = restored.pending
+        assert pending.snippet is restored.snippets[3]
+        restored.observe(pending, restored.execute(pending))
+        restored.run()
+        assert restored.state_digest() == full.state_digest()
+
     def test_restore_preserves_policy_space_identity(
             self, noisy_simulator, space, snippet_trace):
         """The engine's group keys need ``policy.space is session.space``."""

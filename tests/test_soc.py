@@ -285,7 +285,7 @@ class TestSnippetTrace:
         assert not joined.unique_names() and trace.unique_names()
 
     def test_pickle_and_deepcopy_keep_identity(self):
-        trace = SnippetTrace(*self._rows(3))
+        trace = SnippetTrace.from_snippets(list(SnippetTrace(*self._rows(3))))
         held = trace[1]
         restored_trace, restored_held = pickle.loads(
             pickle.dumps((trace, held)))
@@ -294,6 +294,18 @@ class TestSnippetTrace:
         assert restored_trace[0] == trace[0]
         copied = copy.deepcopy([trace, held])
         assert copied[0][1] is copied[1]
+
+    def test_pickle_leaves_built_rows_out(self):
+        trace = SnippetTrace(*self._rows(4))
+        built = list(trace)
+        handed = SnippetTrace.from_snippets(built[:2])
+        joined = SnippetTrace.concat([trace, handed.take([1, 0])])
+        restored, restored_joined, restored_first = pickle.loads(
+            pickle.dumps((trace, joined, built[0])))
+        assert restored._snippets == [None] * 4
+        assert restored_joined._snippets[:4] == [None] * 4
+        assert restored_joined[5] is restored_first
+        assert list(restored) == built and restored_joined[:4] == built
 
 
 class TestSimulator:
@@ -375,7 +387,6 @@ class TestSimulator:
                                           full.counters.as_vector())
             assert replayed.counters.execution_time_s == \
                 full.counters.execution_time_s
-            assert replayed.power_breakdown_w == full.power_breakdown_w
 
     def test_apply_noise_without_noise_returns_expected_values(
             self, simulator, space, compute_snippet):
@@ -392,11 +403,6 @@ class TestSimulator:
                            * memory_snippet.characteristics.memory_intensity / 1000.0)
         assert counters.l2_cache_misses == pytest.approx(expected_misses)
         assert counters.instructions_retired == memory_snippet.n_instructions
-
-    def test_power_breakdown_sums_to_total(self, simulator, space, compute_snippet):
-        result = simulator.evaluate_expected(compute_snippet, space.default_configuration())
-        assert sum(result.power_breakdown_w.values()) == pytest.approx(
-            result.average_power_w, rel=1e-6)
 
     def test_result_derived_metrics(self, simulator, space, compute_snippet):
         result = simulator.evaluate_expected(compute_snippet, space.default_configuration())
